@@ -6,8 +6,9 @@
 // invocations per delivered event by an order of magnitude at a busy
 // host, at the cost of up to peer_flush_delay of added delivery latency;
 // WAN bytes shrink too (one HTTP/CDR envelope per batch instead of per
-// event).  A second sweep isolates the versioned-directory refresh:
-// delta refreshes vs a full snapshot every round.
+// event).  A second run prices the versioned-directory refresh (deltas
+// after one full snapshot; the full-every-round comparison is on record
+// in BENCH_remote.json).
 #include "bench_common.h"
 
 #include "app/synthetic.h"
@@ -29,9 +30,9 @@ bench::Summary& summary() {
 
 bench::Summary& dir_summary() {
   static bench::Summary s(
-      "A4b: directory refresh, deltas vs full snapshots "
+      "A4b: directory refresh with deltas "
       "(host with 16 apps + 4 peer sites, refresh every 100ms, 5s)",
-      {"mode", "dir_fulls", "dir_deltas", "dir_bytes", "wan_msgs"});
+      {"dir_fulls", "dir_deltas", "dir_bytes", "wan_msgs"});
   return s;
 }
 
@@ -158,11 +159,10 @@ struct DirResult {
   std::uint64_t wan_msgs = 0;
 };
 
-DirResult run_directory(bool use_deltas) {
+DirResult run_directory() {
   workload::ScenarioConfig cfg;
   cfg.wan = {util::milliseconds(20), 12.5e6};
   cfg.server_template.peer_refresh_period = util::milliseconds(100);
-  cfg.server_template.peer_dir_deltas = use_deltas;
   workload::Scenario scenario(cfg);
   auto& host = scenario.add_server("host", 1);
   std::vector<core::DiscoverServer*> sites;
@@ -206,22 +206,17 @@ DirResult run_directory(bool use_deltas) {
 }
 
 void BM_DirRefresh(benchmark::State& state) {
-  const bool deltas = state.range(0) != 0;
   DirResult r{};
   for (auto _ : state) {
-    r = run_directory(deltas);
+    r = run_directory();
   }
   state.counters["dir_bytes"] = static_cast<double>(r.bytes);
   state.counters["dir_fulls"] = static_cast<double>(r.fulls);
-  dir_summary().row({deltas ? "deltas" : "full-every-round",
-                     workload::fmt_int(r.fulls), workload::fmt_int(r.deltas),
+  dir_summary().row({workload::fmt_int(r.fulls), workload::fmt_int(r.deltas),
                      util::format_bytes(r.bytes),
                      workload::fmt_int(r.wan_msgs)});
 }
-BENCHMARK(BM_DirRefresh)
-    ->ArgNames({"deltas"})
-    ->Arg(0)->Arg(1)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DirRefresh)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

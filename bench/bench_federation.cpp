@@ -3,11 +3,10 @@
 // steady collab stream; the subscriber watches every app through the
 // cross-server push path, and each inbound event burns a calibrated
 // per-event application cost on its owning core at the receiver
-// (ServerConfig::app_event_cpu_cost, modelled as blocking service time so
-// the sweep measures the dispatch pipeline, not the CI container's core
-// count).  With shard_count = 1 every peer event funnels through one
-// worker (~1/burn events/s); higher counts spread the ingest across owning
-// cores.  scripts/bench_federation.sh runs the sweep and records
+// (ServerConfig::app_event_cpu_cost, a CPU spin, so the sweep scales only
+// as far as the host has cores).  With shard_count = 1 every peer event
+// funnels through one worker (~1/burn events/s); higher counts spread the
+// ingest across owning cores.  scripts/bench_federation.sh runs the sweep and records
 // BENCH_federation.json; the acceptance line is >= 2x cross-server
 // events/sec at shard_count = 4 vs 1.
 #include "bench_common.h"
@@ -51,7 +50,6 @@ void BM_Federation(benchmark::State& state) {
     core::ServerConfig sub_cfg;
     sub_cfg.shard_count = shard_count;
     sub_cfg.app_event_cpu_cost = util::microseconds(1200);
-    sub_cfg.servlet_cost_sleeps = true;
     sub_cfg.peer_refresh_period = util::milliseconds(100);
     workload::ThreadScenario scenario(sub_cfg);
     auto& sub = scenario.add_server("sub", 1);

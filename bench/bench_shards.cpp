@@ -1,10 +1,11 @@
 // Shard sweep: one DiscoverServer on the ThreadNetwork with the servlet
 // core striped across shard_count worker shards (DESIGN.md §5i).  A fixed
 // closed-loop client population (64 portal users polling and issuing read
-// commands) saturates the calibrated 1500us servlet burn, so the served
-// request rate tracks how many cores the burn actually parallelises over:
-// shard_count = 1 pins everything on one worker (~1/burn req/s), higher
-// counts scale until the client population itself becomes the limit.
+// commands) saturates the calibrated 1500us servlet burn (a CPU spin), so
+// the served request rate tracks how many cores the burn actually
+// parallelises over: shard_count = 1 pins everything on one worker
+// (~1/burn req/s), higher counts scale until the host's cores or the
+// client population itself become the limit.
 // scripts/bench_shards.sh runs the sweep and records BENCH_shards.json;
 // the acceptance line is >= 2x events/sec at shard_count = 4 vs 1.
 #include "bench_common.h"
@@ -44,12 +45,9 @@ void BM_Shards(benchmark::State& state) {
     core::ServerConfig server_cfg;
     // Same calibrated 2001-era servlet cost as the E2 knee experiment, so
     // the two benches share a baseline (ServerConfig::servlet_cpu_cost).
-    // Modelled as blocking service time rather than a CPU spin: shard
-    // workers then overlap the burn even when the host has fewer physical
-    // cores than shards, so the sweep measures the dispatch pipeline and
-    // not the CI container's core count.
+    // The burn spins, so the sweep scales only as far as the host has
+    // cores to run the shard workers on.
     server_cfg.servlet_cpu_cost = util::microseconds(1500);
-    server_cfg.servlet_cost_sleeps = true;
     server_cfg.shard_count = shard_count;
     workload::ThreadScenario scenario(server_cfg);
     auto& server = scenario.add_server("portal");

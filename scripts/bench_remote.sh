@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Peer-batching sweep: runs the A4 outbox bench ({1,4,8} peer sites, legacy
-# per-event vs coalesced flushes) plus the versioned-directory refresh
-# sweep with google-benchmark's JSON reporter and merges both into
+# per-event vs coalesced flushes) plus the versioned-directory refresh run
+# with google-benchmark's JSON reporter and merges both into
 # BENCH_remote.json at the repo root.  The checked-in JSON is the evidence
 # for the perf targets in DESIGN.md ("Peer outbox & directory deltas"):
 # >=5x fewer forward-path ORB invocations per delivered event at 4 peers,
-# and delta refreshes a fraction of full-snapshot bytes.
+# and delta refreshes a fraction of full-snapshot bytes (the full-snapshot
+# arm was retired once that ratio was on record).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,16 +65,6 @@ for peers, arms in sorted(by_peers.items()):
         if bb:
             reductions[f"peers{peers}_wan_bytes_legacy_over_batched"] = \
                 round(lb / bb, 2)
-
-# Directory refresh: full-every-round bytes over delta bytes.
-dirs = {}
-for r in rows:
-    d = arg(r["name"], "deltas")
-    if d is not None:
-        dirs[d] = r
-if 0 in dirs and 1 in dirs and dirs[1].get("dir_bytes"):
-    reductions["dir_refresh_bytes_full_over_deltas"] = \
-        round(dirs[0]["dir_bytes"] / dirs[1]["dir_bytes"], 2)
 
 ctx = data.get("context", {})
 result = {

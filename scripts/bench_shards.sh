@@ -23,7 +23,7 @@ trap 'rm -f "$tmp"' EXIT
   --benchmark_out_format=json
 
 python3 - "$tmp" "$OUT" <<'PY'
-import json, sys
+import json, os, sys
 
 src, out = sys.argv[1:3]
 with open(src) as f:
@@ -57,11 +57,14 @@ if base:
             round(row.get("events_per_sec", 0) / base, 2)
 
 ctx = data.get("context", {})
+context = {k: ctx.get(k) for k in
+           ("date", "host_name", "num_cpus", "mhz_per_cpu",
+            "library_build_type") if k in ctx}
+# The burn is a CPU spin: scaling past nproc shards is not expected.
+context["nproc"] = os.cpu_count()
 result = {
     "experiment": "shard_sweep",
-    "context": {k: ctx.get(k) for k in
-                ("date", "host_name", "num_cpus", "mhz_per_cpu",
-                 "library_build_type") if k in ctx},
+    "context": context,
     "thread_network": rows,
     "speedup": speedup,
 }

@@ -46,10 +46,11 @@ cmake --build build-tsan -j "$(nproc)" --target federation_test
 (cd build-tsan && ctest -L federation --output-on-failure)
 
 echo "== tier 1h: OS-socket transport suite under TSan =="
-# Real TCP over loopback: the event loop, per-node workers and sender
-# threads all touch connection state; TSan proves the io_mutex_/timer_mutex_
-# discipline.  The throughput A/B is scripts/bench_os.sh.
-cmake --build build-tsan -j "$(nproc)" --target os_network_test
+# Real TCP over loopback: the event loop, the executor's per-node workers,
+# its timer thread and sender threads all touch shared state; TSan proves
+# the io_mutex_ and executor queue/timer discipline.  The throughput A/B is
+# scripts/bench_os.sh.
+cmake --build build-tsan -j "$(nproc)" --target os_network_test executor_test
 (cd build-tsan && ctest -L osnet --output-on-failure)
 
 echo "tier1: all green"

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <thread>
 
 #include "util/log.h"
 
@@ -42,11 +41,14 @@ void DiscoverServer::attach(net::NodeId self) {
       group_shards_ = config_.shard_count;
       shard_index_ = 0;
       while ((1u << shard_bits_) < group_shards_) ++shard_bits_;
-      pool_ = std::make_unique<net::ShardPool>(group_shards_);
       for (std::uint32_t i = 1; i < group_shards_; ++i) {
         auto core = std::make_unique<DiscoverServer>(network_, config_);
         core->configure_shard(i, shard_bits_, this);
         cores_.push_back(std::move(core));
+      }
+      pool_ = std::make_unique<net::Executor>();
+      for (std::uint32_t i = 0; i < group_shards_; ++i) {
+        pool_->add_owner(&core_at(i));
       }
     }
   }
@@ -209,30 +211,27 @@ std::string DiscoverServer::describe() const {
 }
 
 void DiscoverServer::on_message(const net::Message& msg) {
-  if (pool_) {
-    // Sharded: the node's network worker is a pure dispatcher; all state
-    // (including core 0's) is touched only from shard workers.
+  // Sharded: the node's network worker is a pure dispatcher; all state
+  // (including core 0's) is touched only from shard workers, which reach
+  // this handler as executor owners.
+  if (pool_ && !pool_->on_owner(0)) {
     route_message(msg);
     return;
   }
   dispatch_message(msg);
 }
 
+void DiscoverServer::spin_for(util::Duration cost) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::nanoseconds(cost);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
 void DiscoverServer::dispatch_message(const net::Message& msg) {
   switch (msg.channel) {
     case net::Channel::http:
-      if (config_.servlet_cpu_cost > 0) {
-        // Calibrated servlet-processing burn (see ServerConfig).
-        if (config_.servlet_cost_sleeps) {
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(config_.servlet_cpu_cost));
-        } else {
-          const auto until = std::chrono::steady_clock::now() +
-                             std::chrono::nanoseconds(config_.servlet_cpu_cost);
-          while (std::chrono::steady_clock::now() < until) {
-          }
-        }
-      }
+      if (config_.servlet_cpu_cost > 0) spin_for(config_.servlet_cpu_cost);
       container_->handle(msg);
       live_requests_.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -240,21 +239,9 @@ void DiscoverServer::dispatch_message(const net::Message& msg) {
       orb_->handle(msg);
       return;
     case net::Channel::main_channel:
-      if (config_.app_event_cpu_cost > 0) {
-        // Calibrated app-event processing burn (see ServerConfig): models
-        // the per-update ingest + fan-out work that sharding parallelizes,
-        // paid on the owning core.
-        if (config_.servlet_cost_sleeps) {
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(config_.app_event_cpu_cost));
-        } else {
-          const auto until =
-              std::chrono::steady_clock::now() +
-              std::chrono::nanoseconds(config_.app_event_cpu_cost);
-          while (std::chrono::steady_clock::now() < until) {
-          }
-        }
-      }
+      // The app-event burn models the per-update ingest + fan-out work that
+      // sharding parallelizes, paid on the owning core.
+      if (config_.app_event_cpu_cost > 0) spin_for(config_.app_event_cpu_cost);
       handle_app_channel(msg);
       return;
     case net::Channel::response:

@@ -32,9 +32,9 @@
 #include "db/record_store.h"
 #include "http/http_client.h"
 #include "http/servlet_container.h"
+#include "net/executor.h"
 #include "net/network.h"
 #include "net/retry.h"
-#include "net/shard_pool.h"
 #include "orb/naming.h"
 #include "orb/orb.h"
 #include "orb/trader.h"
@@ -143,24 +143,15 @@ struct ServerConfig {
   /// is dropped and counted in outbox_dropped.
   std::size_t peer_outbox_cap = 1024;
 
-  /// Versioned peer directory: each refresh round fetch every live peer's
-  /// application directory via list_apps_since as a delta against the last
-  /// seen (epoch, version).  false = request a full snapshot every round
-  /// (legacy A/B for the delta machinery).
-  bool peer_dir_deltas = true;
-  /// Disables the per-round directory fetch entirely (discovery then works
-  /// only through logins and the control channel, as it did before the
-  /// versioned directory existed).
+  /// Versioned peer directory: each refresh round fetches every live
+  /// peer's application directory via list_apps_since as a delta against
+  /// the last seen (epoch, version).  false disables the per-round fetch
+  /// entirely (discovery then works only through logins and the control
+  /// channel, as it did before the versioned directory existed).
   bool peer_dir_refresh = true;
   /// Bounded host-side directory change log; callers further behind than
   /// this get a full snapshot.
   std::size_t dir_log_cap = 128;
-
-  /// TEST ONLY (mixed-version rolling upgrade): emulate a pre-outbox peer
-  /// build whose DiscoverCorbaServer knows neither forward_events nor
-  /// list_apps_since.  New hosts must detect the rejection and fall back
-  /// to singular forward_event calls.
-  bool emulate_legacy_peer = false;
 
   std::size_t archive_cap_per_app = 4096;
   /// Mirror archived events into the record store (exercises §6.3
@@ -248,17 +239,9 @@ struct ServerConfig {
   /// servlet stack on 2001 hardware.  The paper's ~20-client knee (§6.1)
   /// exists because each servlet request was expensive; a 2026 core makes
   /// the same request sub-microsecond, which would shift the knee far
-  /// right.  Zero disables the burn (default).  Has no effect on virtual
-  /// time under SimNetwork.
+  /// right.  The burn busy-spins, pinning a hardware thread.  Zero disables
+  /// it (default).  Has no effect on virtual time under SimNetwork.
   util::Duration servlet_cpu_cost = 0;
-
-  /// How the calibrated burn is spent.  `false` (default) busy-spins,
-  /// pinning a hardware thread — right for measuring a CPU-bound knee.
-  /// `true` sleeps instead, modelling the cost as blocking service time
-  /// (the 2001 servlet stack spent most of its budget in blocking I/O);
-  /// shard workers then overlap service even on hosts with fewer physical
-  /// cores than shards, which is what the shard sweep measures.
-  bool servlet_cost_sleeps = false;
 
   /// Worker shards per server node (DESIGN.md §5i).  With shard_count > 1
   /// the node splits into N independent cores: a dispatcher on the node's
@@ -281,9 +264,8 @@ struct ServerConfig {
   /// processing it, emulating the 2001-era per-event server cost (decode +
   /// archive + fan-out on period hardware).  The burn runs on the owning
   /// shard core, so the federation bench measures how event processing
-  /// parallelises across shards.
-  /// Spends via servlet_cost_sleeps like servlet_cpu_cost.  Zero (default)
-  /// disables it.
+  /// parallelises across shards.  Spins like servlet_cpu_cost.  Zero
+  /// (default) disables it.
   util::Duration app_event_cpu_cost = 0;
 };
 
@@ -360,9 +342,7 @@ class DiscoverServer final : public net::MessageHandler {
   /// registry runs standalone.  On a sharded server (call after attach())
   /// every core gets the naming service — each resolves remote apps through
   /// its own ORB — while trader discovery, export and peer health stay on
-  /// core 0.  Throws std::invalid_argument for config combinations that
-  /// cannot federate (shard_count > 1 with emulate_legacy_peer: the
-  /// emulated pre-outbox build predates sharding).
+  /// core 0.
   void set_registry(orb::ObjectRef naming, orb::ObjectRef trader);
   /// Optional global identity directory (a GIS-style servant answering
   /// "list_identities"); §6.3: lets users log in at servers where no local
@@ -617,19 +597,16 @@ class DiscoverServer final : public net::MessageHandler {
     std::uint64_t dir_epoch = 0;
     std::uint64_t dir_version = 0;
     bool dir_inflight = false;
-    bool dir_unsupported = false;  // pre-outbox build; stop asking
   };
 
   /// One queued outbox event.  `encoded` is the standalone CDR encoding of
   /// the event, produced once and shared by every peer outbox the event
-  /// lands in; flushes splice it into the batch without re-encoding.  The
-  /// decoded event is kept alongside for the legacy singular fallback.
+  /// lands in; flushes splice it into the batch without re-encoding.
   struct OutboxItem {
     proto::EventFrameKind frame_kind = proto::EventFrameKind::push;
     proto::AppId app;
     std::uint64_t seq = 0;  // 0 for collab_relay
     proto::EventKind kind = proto::EventKind::system;
-    proto::SharedClientEvent event;
     std::shared_ptr<const util::Bytes> encoded;
     /// Ambient trace context at enqueue time (invalid when unsampled).  A
     /// flush runs under the first traced item's context so the batched
@@ -652,7 +629,6 @@ class DiscoverServer final : public net::MessageHandler {
     std::size_t bytes = 0;  // encoded payload estimate of `items`
     net::TimerId flush_timer{0};
     bool inflight = false;
-    bool legacy_peer = false;  // peer rejected forward_events; go singular
   };
 
   class MasterServlet;
@@ -685,11 +661,15 @@ class DiscoverServer final : public net::MessageHandler {
   /// routes — client/app channels to hash(src)'s core; GIOP frames to the
   /// core whose ORB owns them (requests by servant key, replies by request
   /// id — both carry the minting core in their low shard bits); control
-  /// framing and unparseable GIOP to core 0.
+  /// framing and unparseable GIOP to core 0.  The message lands in the
+  /// owning core's executor queue and reaches that core's on_message.
   void route_message(const net::Message& msg);
   /// The pre-shard on_message body; on a sharded server it runs on the
   /// owning core's shard worker.
   void dispatch_message(const net::Message& msg);
+  /// The calibration burn behind servlet_cpu_cost / app_event_cpu_cost:
+  /// busy-spins for `cost` on the calling worker.
+  static void spin_for(util::Duration cost);
   /// Runs `fn` in shard `idx`'s execution context (inline when unsharded
   /// or already on that shard's worker).
   void post_shard(std::uint32_t idx, std::function<void()> fn);
@@ -793,13 +773,10 @@ class DiscoverServer final : public net::MessageHandler {
   void drain_outbox_if_any(std::uint32_t node);
   /// Re-arms the flush timer after a failed batch left requeued items.
   void ob_arm_retry(std::uint32_t node);
-  /// Legacy singular send for one item (peer_flush_delay==0 never builds
-  /// items; this serves the mixed-version fallback).
-  void send_item_legacy(std::uint32_t node, const OutboxItem& item);
   /// Relays a local client's collab post toward the app's host: through
   /// the outbox when batching is on and the host's level-1 ref is known,
   /// else a direct forward_collab (the legacy wire behaviour).
-  void relay_collab_to_host(AppEntry& entry, proto::ClientEvent ev);
+  void relay_collab_to_host(AppEntry& entry, const proto::ClientEvent& ev);
   /// forward_events servant body.  A sharded receiver scatters the frames
   /// to their owning cores by shard_of_app (a peer batch mixes apps owned
   /// by different cores); each core then applies its own frames.
@@ -821,7 +798,9 @@ class DiscoverServer final : public net::MessageHandler {
   [[nodiscard]] proto::DirectoryUpdate directory_update_since(
       std::uint64_t epoch, std::uint64_t since) const;
   [[nodiscard]] proto::AppInfo app_info_of(const AppEntry& entry) const;
-  /// Fetches `peer`'s directory (delta or full per config) this round.
+  /// Fetches `peer`'s directory this round: a delta against the cached
+  /// (epoch, version), or the full snapshot the host sends when the cursor
+  /// is out of range.
   void refresh_peer_directory(Peer& peer);
   void apply_directory_update(Peer& peer, const proto::DirectoryUpdate& upd);
 
@@ -992,7 +971,7 @@ class DiscoverServer final : public net::MessageHandler {
   std::uint32_t shard_index_ = 0;
   std::uint32_t shard_bits_ = 0;
   std::uint32_t group_shards_ = 1;
-  std::unique_ptr<net::ShardPool> pool_;                  // core 0 only
+  std::unique_ptr<net::Executor> pool_;  // core 0 only; owner i = core i
   std::vector<std::unique_ptr<DiscoverServer>> cores_;    // core 0 only
   util::ShardedCounter* routed_ = nullptr;                // core 0 only
 

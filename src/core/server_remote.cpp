@@ -4,10 +4,7 @@
 #include "core/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <iterator>
-#include <stdexcept>
-#include <thread>
 
 #include "util/log.h"
 
@@ -163,11 +160,10 @@ class DiscoverServer::DiscoverCorbaServerServant final : public orb::Servant {
       }
       encode_app_info_seq(out, apps);
     } else if (method == "forward_event") {
-      // Push-mode delivery from an application's host server.  Kept as a
-      // compat alias beside forward_events so a new host can push to this
-      // server during a rolling upgrade, and as the peer_flush_delay==0
-      // legacy wire format.  On a sharded receiver the remote entry lives
-      // on shard_of_app's core; hop there.
+      // Push-mode delivery from an application's host server in the
+      // peer_flush_delay==0 legacy wire format (one event per call).  On a
+      // sharded receiver the remote entry lives on shard_of_app's core;
+      // hop there.
       const proto::AppId app = proto::decode_app_id(args);
       const auto events = decode_event_seq(args);
       const std::uint32_t owner = s.shard_owner_of(app);
@@ -185,7 +181,7 @@ class DiscoverServer::DiscoverCorbaServerServant final : public orb::Servant {
           s.ingest_remote_events(*entry, events);
         }
       }
-    } else if (method == "forward_events" && !s.config_.emulate_legacy_peer) {
+    } else if (method == "forward_events") {
       // Batched peer outbox flush: push frames for apps hosted at the
       // caller plus collab posts relayed toward apps hosted here.
       if (ctx.requester != s.self_ &&
@@ -194,8 +190,7 @@ class DiscoverServer::DiscoverCorbaServerServant final : public orb::Servant {
                                 "peer rate limit exceeded"};
       }
       s.ingest_event_frames(proto::decode_event_frames(args));
-    } else if (method == "list_apps_since" &&
-               !s.config_.emulate_legacy_peer) {
+    } else if (method == "list_apps_since") {
       // Versioned directory fetch: delta against the caller's cached
       // (epoch, version), or a full snapshot when it is out of range.
       const std::uint64_t epoch = args.u64();
@@ -323,13 +318,6 @@ orb::ObjectRef DiscoverServer::activate_corba_proxy(AppEntry& entry) {
 
 void DiscoverServer::set_registry(orb::ObjectRef naming,
                                   orb::ObjectRef trader) {
-  if (sharded() && config_.emulate_legacy_peer) {
-    // The emulated pre-outbox peer build predates sharding; refusing at
-    // startup beats a half-configured federation that drops batches.
-    throw std::invalid_argument(
-        "shard_count > 1 cannot federate with emulate_legacy_peer: the "
-        "emulated legacy peer build predates sharding");
-  }
   if (pool_) {
     // Sharded federation (DESIGN.md §5j): called from outside the shard
     // workers (attach() already started them), so distribute the refs
@@ -497,11 +485,6 @@ void DiscoverServer::refresh_peers() {
 }
 
 void DiscoverServer::set_identity_directory(orb::ObjectRef directory) {
-  if (sharded() && config_.emulate_legacy_peer) {
-    throw std::invalid_argument(
-        "shard_count > 1 cannot federate with emulate_legacy_peer: the "
-        "emulated legacy peer build predates sharding");
-  }
   if (pool_) {
     // Core 0 owns the refresh loop; it replicates the cache to the other
     // cores after each pull (replicate_identities_to_cores).
@@ -1086,20 +1069,9 @@ void DiscoverServer::deliver_remote(AppEntry& entry,
                                     const proto::ClientEvent& ev) {
   ++stats_.peer_events_in;
   live_peer_events_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.app_event_cpu_cost > 0) {
-    // Calibrated per-event ingest burn (see ServerConfig), paid on the
-    // owning core: the federation bench prices how inbound peer traffic
-    // parallelises across shards.
-    if (config_.servlet_cost_sleeps) {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(config_.app_event_cpu_cost));
-    } else {
-      const auto until = std::chrono::steady_clock::now() +
-                         std::chrono::nanoseconds(config_.app_event_cpu_cost);
-      while (std::chrono::steady_clock::now() < until) {
-      }
-    }
-  }
+  // The per-event ingest burn is paid on the owning core: the federation
+  // bench prices how inbound peer traffic parallelises across shards.
+  if (config_.app_event_cpu_cost > 0) spin_for(config_.app_event_cpu_cost);
   deliver_local(entry.id, ev);
   if (!entry.watcher_shards.empty()) fan_out_to_watcher_shards(entry, ev);
 }
@@ -1124,14 +1096,12 @@ void DiscoverServer::push_to_subscribers(AppEntry& entry,
   // Outbox path: serialize the event once, share the bytes across every
   // subscriber's outbox, let the flush triggers coalesce.
   const auto encoded = encode_event_standalone(ev);
-  const auto shared_ev = std::make_shared<const proto::ClientEvent>(ev);
   for (const auto& [node, ref] : entry.subscribers) {
     OutboxItem item;
     item.frame_kind = proto::EventFrameKind::push;
     item.app = entry.id;
     item.seq = ev.seq;
     item.kind = ev.kind;
-    item.event = shared_ev;
     item.encoded = encoded;
     outbox_append(node, ref, std::move(item));
     ++stats_.peer_events_out;
@@ -1143,13 +1113,11 @@ void DiscoverServer::push_to_subscribers(AppEntry& entry,
 // ---------------------------------------------------------------------------
 
 void DiscoverServer::relay_collab_to_host(AppEntry& entry,
-                                          proto::ClientEvent ev) {
+                                          const proto::ClientEvent& ev) {
   const std::uint32_t host = entry.corba_proxy.node;
   const Peer* peer = peer_by_node(host);
-  const auto ob = outboxes_.find(host);
   const bool batch = config_.peer_flush_delay > 0 && peer != nullptr &&
-                     peer->server_ref.valid() &&
-                     (ob == outboxes_.end() || !ob->second.legacy_peer);
+                     peer->server_ref.valid();
   if (!batch) {
     // Legacy wire behaviour: direct forward_collab to the app's CorbaProxy.
     wire::Encoder args;
@@ -1163,7 +1131,6 @@ void DiscoverServer::relay_collab_to_host(AppEntry& entry,
   item.app = entry.id;
   item.kind = ev.kind;
   item.encoded = encode_event_standalone(ev);
-  item.event = std::make_shared<const proto::ClientEvent>(std::move(ev));
   outbox_append(host, peer->server_ref, std::move(item));
 }
 
@@ -1175,10 +1142,6 @@ void DiscoverServer::outbox_append(std::uint32_t node,
   item.trace = tracer_.current();
   PeerOutbox& ob = outboxes_[node];
   ob.ref = ref;
-  if (ob.legacy_peer) {
-    send_item_legacy(node, item);
-    return;
-  }
   if (ob.items.size() >= config_.peer_outbox_cap &&
       config_.peer_outbox_cap > 0) {
     // Backpressure: prefer shedding a periodic state update (a newer one
@@ -1303,17 +1266,6 @@ void DiscoverServer::flush_outbox(std::uint32_t node, FlushTrigger trigger) {
         if (oit == outboxes_.end()) return;
         PeerOutbox& o = oit->second;
         o.inflight = false;
-        if (!r.ok() && r.error().code == util::Errc::invalid_argument) {
-          // Mixed-version fallback: the peer predates forward_events.
-          // Resend this batch through the singular compat alias and stay
-          // singular for the rest of its lifetime.
-          o.legacy_peer = true;
-          for (const auto& item : sent) send_item_legacy(node, item);
-          for (const auto& item : o.items) send_item_legacy(node, item);
-          o.items.clear();
-          o.bytes = 0;
-          return;
-        }
         if (!r.ok()) {
           // Undelivered (timeout / suspect fail-fast).  Requeue push
           // frames at the front — remote_known_seq makes a double
@@ -1359,28 +1311,6 @@ void DiscoverServer::ob_arm_retry(std::uint32_t node) {
         oit->second.flush_timer = net::TimerId{0};
         flush_outbox(node, FlushTrigger::drain);
       });
-}
-
-void DiscoverServer::send_item_legacy(std::uint32_t node,
-                                      const OutboxItem& item) {
-  if (item.frame_kind == proto::EventFrameKind::push) {
-    wire::Encoder args;
-    proto::encode(args, item.app);
-    encode_event_seq(args, {*item.event});
-    const auto oit = outboxes_.find(node);
-    if (oit == outboxes_.end()) return;
-    invoke_peer(node, oit->second.ref, "forward_event", std::move(args),
-                [](util::Result<util::Bytes>) {}, config_.orb_call_timeout);
-    return;
-  }
-  // Collab relay: singular sends target the app's CorbaProxy, not the
-  // level-1 servant.
-  AppEntry* entry = find_app(item.app);
-  if (entry == nullptr || entry->local) return;
-  wire::Encoder args;
-  proto::encode(args, *item.event);
-  invoke_peer(node, entry->corba_proxy, "forward_collab", std::move(args),
-              [](util::Result<util::Bytes>) {}, config_.orb_call_timeout);
 }
 
 void DiscoverServer::drain_outbox_if_any(std::uint32_t node) {
@@ -1585,14 +1515,12 @@ proto::DirectoryUpdate DiscoverServer::directory_update_since(
 }
 
 void DiscoverServer::refresh_peer_directory(Peer& peer) {
-  if (peer.dir_inflight || peer.dir_unsupported || peer.suspect) return;
+  if (peer.dir_inflight || peer.suspect) return;
   if (!peer.server_ref.valid()) return;
   peer.dir_inflight = true;
   wire::Encoder args;
-  // A (0, 0) cursor never matches a host epoch, so the legacy A/B knob
-  // degenerates to a full snapshot every round.
-  args.u64(config_.peer_dir_deltas ? peer.dir_epoch : 0);
-  args.u64(config_.peer_dir_deltas ? peer.dir_version : 0);
+  args.u64(peer.dir_epoch);
+  args.u64(peer.dir_version);
   const std::uint32_t node = peer.node;
   invoke_peer(
       node, peer.server_ref, "list_apps_since", std::move(args),
@@ -1600,12 +1528,7 @@ void DiscoverServer::refresh_peer_directory(Peer& peer) {
         Peer* p = peer_by_node(node);
         if (p == nullptr) return;
         p->dir_inflight = false;
-        if (!r.ok()) {
-          if (r.error().code == util::Errc::invalid_argument) {
-            p->dir_unsupported = true;  // pre-outbox peer build
-          }
-          return;
-        }
+        if (!r.ok()) return;
         stats_.dir_refresh_bytes += r.value().size();
         try {
           wire::Decoder d(r.value());

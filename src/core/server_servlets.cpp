@@ -857,7 +857,7 @@ class DiscoverServer::CollabServlet final : public http::Servlet {
           // Remote app owned by this core (§5j): relay to its host server —
           // through this core's outbox when batching is on — and ack
           // optimistically like the unsharded relay does.
-          host.relay_collab_to_host(*entry, std::move(ev));
+          host.relay_collab_to_host(*entry, ev);
           out.ok = true;
           out.message = "posted";
         } else {
@@ -884,7 +884,7 @@ class DiscoverServer::CollabServlet final : public http::Servlet {
     } else {
       // Relay to the host, which stamps/archives/redistributes (§5.2.3) —
       // through the host's outbox when batching is on.
-      s.relay_collab_to_host(*entry, std::move(ev));
+      s.relay_collab_to_host(*entry, ev);
     }
     ack.ok = true;
     ack.message = "posted";

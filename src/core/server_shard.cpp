@@ -2,11 +2,11 @@
 //
 // A DiscoverServer with shard_count > 1 on a sharding-capable network is a
 // group of N full server cores sharing one node id.  The user-facing
-// instance is core 0 and owns the dispatcher, the shard pool and the inner
-// cores; every core runs its own event loop over its own pool queue, so
-// all per-core state stays lock-free.  Cross-core interactions — select
-// grants, lock forgets, event fan-out, login/scrape gathers — are the
-// explicit queue hops implemented here.
+// instance is core 0 and owns the dispatcher, the shard executor and the
+// inner cores; every core is one executor owner with its own queue and
+// worker, so all per-core state stays lock-free.  Cross-core interactions
+// — select grants, lock forgets, event fan-out, login/scrape gathers — are
+// the explicit queue hops implemented here.
 #include "core/server.h"
 
 #include <algorithm>
@@ -120,14 +120,11 @@ void DiscoverServer::route_message(const net::Message& msg) {
       break;
   }
   if (routed_ != nullptr) routed_->inc(shard);
-  DiscoverServer* core = &core_at(shard);
-  pool_->post(shard, [core, msg] { core->dispatch_message(msg); });
+  pool_->deliver(shard, msg);
 }
 
 void DiscoverServer::post_shard(std::uint32_t idx, std::function<void()> fn) {
-  if (!sharded() ||
-      (net::ShardPool::current_shard() == idx &&
-       net::ShardPool::current_shard() != net::ShardPool::kNotAShard)) {
+  if (!sharded() || group_->pool_->on_owner(idx)) {
     fn();
     return;
   }

@@ -68,7 +68,7 @@ class Network {
   }
 
   /// True when nodes on this backend may run multi-threaded internals
-  /// (worker-shard pools).  The simulated backend must stay false: its
+  /// (shard executors).  The simulated backend must stay false: its
   /// determinism contract assumes one logical thread for everything, so a
   /// sharded node would break byte-identical replays.
   [[nodiscard]] virtual bool supports_sharding() const { return false; }

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -176,9 +175,9 @@ NodeId OsNetwork::add_node(std::string name, MessageHandler* handler,
   if (started_) throw std::logic_error("add_node after start()");
   auto rec = std::make_unique<NodeRec>();
   rec->name = std::move(name);
-  rec->handler = handler;
   rec->domain = domain;
   rec->local = true;
+  rec->owner = exec_.add_owner(handler);
   nodes_.push_back(std::move(rec));
   const auto id = static_cast<std::uint32_t>(nodes_.size() - 1);
   local_node_ids_.push_back(id);
@@ -271,53 +270,21 @@ util::Status OsNetwork::start() {
   }
 
   started_ = true;
-  running_.store(true, std::memory_order_release);
-  stopping_.store(false, std::memory_order_release);
-  for (const std::uint32_t id : local_node_ids_) {
-    NodeRec* rec = nodes_[id].get();
-    rec->worker = std::thread([this, rec] { worker_loop(*rec); });
-  }
+  exec_.start();
   loop_thread_ = std::thread([this] { loop(); });
   return {};
 }
 
 void OsNetwork::stop() {
-  if (!started_) return;
-  stopping_.store(true, std::memory_order_release);
+  if (!started_ || stopping_.exchange(true, std::memory_order_acq_rel)) {
+    return;
+  }
   wake();
   if (loop_thread_.joinable()) loop_thread_.join();
-  running_.store(false, std::memory_order_release);
-  for (const std::uint32_t id : local_node_ids_) {
-    nodes_[id]->cv.notify_all();
-  }
-  for (const std::uint32_t id : local_node_ids_) {
-    NodeRec& rec = *nodes_[id];
-    if (rec.worker.joinable()) rec.worker.join();
-    // Queued-but-undelivered tasks die with the network, like
-    // ThreadNetwork::stop(); account them so wait_idle callers unblock.
-    std::size_t dropped;
-    {
-      const std::lock_guard<std::mutex> lock(rec.mutex);
-      dropped = rec.inbox.size();
-      rec.inbox.clear();
-    }
-    if (dropped > 0 &&
-        inflight_.fetch_sub(dropped, std::memory_order_acq_rel) == dropped) {
-      idle_cv_.notify_all();
-    }
-  }
-  {
-    const std::lock_guard<std::mutex> lock(timer_mutex_);
-    while (!timers_.empty()) timers_.pop();
-    // Discarded timers prune their cancellation marks too — nothing may
-    // survive a stop() to leak into the next start.
-    pending_timer_ids_.clear();
-    cancelled_timers_.clear();
-  }
+  exec_.stop();
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
   wake_fds_[0] = wake_fds_[1] = -1;
-  started_ = false;
 }
 
 void OsNetwork::wake() {
@@ -326,50 +293,8 @@ void OsNetwork::wake() {
   [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &b, 1);
 }
 
-// -- local delivery ---------------------------------------------------------
-
-void OsNetwork::enqueue_local(std::uint32_t node_index, Task task) {
-  NodeRec& node = *nodes_[node_index];
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    const std::lock_guard<std::mutex> lock(node.mutex);
-    node.inbox.push_back(std::move(task));
-  }
-  node.cv.notify_one();
-}
-
-void OsNetwork::worker_loop(NodeRec& node) {
-  while (true) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(node.mutex);
-      node.cv.wait(lock, [&] {
-        return !node.inbox.empty() ||
-               !running_.load(std::memory_order_acquire);
-      });
-      if (node.inbox.empty()) {
-        if (!running_.load(std::memory_order_acquire)) return;
-        continue;
-      }
-      task = std::move(node.inbox.front());
-      node.inbox.pop_front();
-    }
-    if (task.fn) {
-      task.fn();
-    } else if (node.handler != nullptr) {
-      node.handler->on_message(task.msg);
-    }
-    if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      idle_cv_.notify_all();
-    }
-  }
-}
-
 bool OsNetwork::wait_idle(util::Duration timeout) {
-  std::unique_lock<std::mutex> lock(idle_mutex_);
-  return idle_cv_.wait_for(lock, std::chrono::nanoseconds(timeout), [this] {
-    return inflight_.load(std::memory_order_acquire) == 0;
-  });
+  return exec_.wait_idle(timeout);
 }
 
 // -- send path --------------------------------------------------------------
@@ -393,14 +318,14 @@ void OsNetwork::send(NodeId from, NodeId to, Channel channel,
 
   NodeRec& dst = *nodes_[to.value()];
   if (dst.local) {
-    Task task;
-    task.msg.src = from;
-    task.msg.dst = to;
-    task.msg.channel = channel;
-    task.msg.payload = std::move(payload);
-    task.msg.sent_at = now();
-    task.msg.seq = seq;
-    enqueue_local(to.value(), std::move(task));
+    Message msg;
+    msg.src = from;
+    msg.dst = to;
+    msg.channel = channel;
+    msg.payload = std::move(payload);
+    msg.sent_at = now();
+    msg.seq = seq;
+    exec_.deliver(dst.owner, std::move(msg));
     return;
   }
 
@@ -472,71 +397,16 @@ TimerId OsNetwork::schedule(NodeId node, util::Duration delay,
                             std::function<void()> fn) {
   assert(node.value() < nodes_.size());
   assert(nodes_[node.value()]->local);
-  PendingTimer t;
-  t.at = now() + std::max<util::Duration>(delay, 0);
-  t.node = node.value();
-  t.fn = std::move(fn);
-  TimerId id{0};
-  {
-    const std::lock_guard<std::mutex> lock(timer_mutex_);
-    t.id = next_timer_++;
-    id = TimerId{t.id};
-    pending_timer_ids_.insert(t.id);
-    timers_.push(std::move(t));
-  }
-  wake();
-  return id;
+  return exec_.schedule(nodes_[node.value()]->owner, delay, std::move(fn));
 }
 
-void OsNetwork::cancel(TimerId id) {
-  if (id.value() == 0) return;
-  const std::lock_guard<std::mutex> lock(timer_mutex_);
-  // Only a timer still outstanding earns a tombstone: cancelling one that
-  // already fired (or was never ours) must not grow state forever.
-  if (pending_timer_ids_.count(id.value()) != 0) {
-    cancelled_timers_.insert(id.value());
-  }
-}
-
-std::size_t OsNetwork::cancelled_timer_backlog() const {
-  const std::lock_guard<std::mutex> lock(timer_mutex_);
-  return cancelled_timers_.size();
-}
-
-void OsNetwork::run_due_timers() {
-  while (true) {
-    PendingTimer t;
-    {
-      const std::lock_guard<std::mutex> lock(timer_mutex_);
-      if (timers_.empty() || timers_.top().at > now()) return;
-      t = std::move(const_cast<PendingTimer&>(timers_.top()));
-      timers_.pop();
-      pending_timer_ids_.erase(t.id);
-      const auto it = cancelled_timers_.find(t.id);
-      if (it != cancelled_timers_.end()) {
-        cancelled_timers_.erase(it);
-        continue;
-      }
-    }
-    Task task;
-    task.fn = std::move(t.fn);
-    enqueue_local(t.node, std::move(task));
-  }
-}
+void OsNetwork::cancel(TimerId id) { exec_.cancel(id); }
 
 util::Duration OsNetwork::next_deadline_delay() {
   util::Duration delay = util::seconds(1);  // idle heartbeat
-  {
-    const std::lock_guard<std::mutex> lock(timer_mutex_);
-    if (!timers_.empty()) {
-      delay = std::min(delay, timers_.top().at - now());
-    }
-  }
-  {
-    const std::lock_guard<std::mutex> lock(io_mutex_);
-    for (const auto& [at, conn] : reconnects_) {
-      delay = std::min(delay, at - now());
-    }
+  const std::lock_guard<std::mutex> lock(io_mutex_);
+  for (const auto& [at, conn] : reconnects_) {
+    delay = std::min(delay, at - now());
   }
   return std::max<util::Duration>(delay, 0);
 }
@@ -566,12 +436,12 @@ void OsNetwork::loop() {
     }
 
     sync_write_interest();
-    const util::Duration delay = next_deadline_delay();
+    // Round up: a sub-millisecond reconnect deadline must sleep one tick,
+    // not spin through zero-timeout polls until it is due.
     const int timeout_ms = static_cast<int>(
-        std::min<util::Duration>(delay, util::seconds(1)) /
-        util::kMillisecond);
+        (next_deadline_delay() + util::kMillisecond - 1) / util::kMillisecond);
     events.clear();
-    poller_->wait(stopping ? 1 : std::max(timeout_ms, 0), events);
+    poller_->wait(stopping ? 1 : timeout_ms, events);
 
     for (const PollerEvent& ev : events) {
       if (ev.fd == wake_fds_[0]) {
@@ -599,7 +469,6 @@ void OsNetwork::loop() {
       if (ev.readable && conn->fd >= 0) conn_readable(conn);
     }
 
-    run_due_timers();
     run_due_reconnects();
   }
 
@@ -931,18 +800,18 @@ void OsNetwork::handle_frame(const std::shared_ptr<Conn>& conn,
     ++os_stats_.dropped_no_route;
     return;
   }
-  Task task;
-  task.msg.src = frame.src;
-  task.msg.dst = frame.dst;
-  task.msg.channel = frame.channel();
-  task.msg.payload = Payload(std::move(frame.payload));
-  task.msg.sent_at = now();  // receiver clock; processes share no epoch
+  Message msg;
+  msg.src = frame.src;
+  msg.dst = frame.dst;
+  msg.channel = frame.channel();
+  msg.payload = Payload(std::move(frame.payload));
+  msg.sent_at = now();  // receiver clock; processes share no epoch
   {
     const std::lock_guard<std::mutex> lock(io_mutex_);
-    task.msg.seq = ++recv_seq_;
+    msg.seq = ++recv_seq_;
     ++os_stats_.frames_in;
   }
-  enqueue_local(dst, std::move(task));
+  exec_.deliver(nodes_[dst]->owner, std::move(msg));
 }
 
 void OsNetwork::adopt_routes(const std::shared_ptr<Conn>& conn,

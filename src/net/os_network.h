@@ -5,11 +5,10 @@
 // Shape (after RethinkDB's conn_acceptor / event-queue split):
 //
 //  * one nonblocking event-loop thread — epoll on Linux, poll(2) fallback —
-//    owns the listening acceptor, every connection's reads/writes, and the
-//    timer wheel;
-//  * one worker thread per *local* node (actor model, exactly like
-//    ThreadNetwork): handlers and timer callbacks run on the node's own
-//    worker, never on the I/O thread;
+//    owns the listening acceptor and every connection's reads/writes;
+//  * every *local* node is an owner of one net::Executor, exactly like
+//    ThreadNetwork: handlers and timer callbacks run on the node's own
+//    worker, never on the I/O thread, and timers never touch the loop;
 //  * one TCP connection per peer process carries every channel of every
 //    (src, dst) pair as length-prefixed frames (net/frame_codec.h), FIFO;
 //  * writes are coalesced: send() queues the refcounted net::Payload —
@@ -35,20 +34,18 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "net/executor.h"
 #include "net/frame_codec.h"
 #include "net/network.h"
 #include "net/retry.h"
@@ -128,7 +125,7 @@ class OsNetwork final : public Network {
   [[nodiscard]] util::Status start();
   /// Orderly teardown: drains queued writes (bounded by
   /// stop_flush_timeout), closes every socket, joins all threads, drops
-  /// queued inbox work.  Idempotent.
+  /// queued inbox work.  Idempotent; a stopped network does not restart.
   void stop();
 
   /// Bound acceptor port (valid after start(); 0 when listen=false).
@@ -140,8 +137,12 @@ class OsNetwork final : public Network {
   TimerId schedule(NodeId node, util::Duration delay,
                    std::function<void()> fn) override;
   void cancel(TimerId id) override;
-  [[nodiscard]] util::TimePoint now() const override { return clock_.now(); }
-  [[nodiscard]] const util::Clock& clock() const override { return clock_; }
+  [[nodiscard]] util::TimePoint now() const override {
+    return exec_.clock().now();
+  }
+  [[nodiscard]] const util::Clock& clock() const override {
+    return exec_.clock();
+  }
   [[nodiscard]] TrafficStats traffic() const override;
   void reset_traffic() override;
   [[nodiscard]] const std::string& node_name(NodeId id) const override;
@@ -154,28 +155,19 @@ class OsNetwork final : public Network {
   bool wait_idle(util::Duration timeout);
 
   [[nodiscard]] OsNetworkStats os_stats() const;
-  /// Outstanding cancelled-but-unfired timer ids (bounded by live timers;
-  /// the soak test pins the invariant for both timer owners).
-  [[nodiscard]] std::size_t cancelled_timer_backlog() const;
+  /// Timers scheduled and neither fired nor cancelled.
+  [[nodiscard]] std::size_t pending_timer_count() const {
+    return exec_.pending_timer_count();
+  }
   [[nodiscard]] std::size_t open_connections() const;
 
  private:
-  struct Task {
-    Message msg;
-    std::function<void()> fn;  // non-null => timer task
-  };
-
   struct NodeRec {
     std::string name;
-    MessageHandler* handler = nullptr;  // null => remote
     DomainId domain{0};
     bool local = false;
-    std::string addr_key;  // "host:port" for remote nodes
-    // Worker state (local nodes only).
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<Task> inbox;
-    std::thread worker;
+    std::size_t owner = 0;  // executor owner (local nodes only)
+    std::string addr_key;   // "host:port" for remote nodes
   };
 
   /// One queued frame: fixed header + refcounted payload, scatter-gathered
@@ -206,24 +198,11 @@ class OsNetwork final : public Network {
     bool reconnect_armed = false;
   };
 
-  struct PendingTimer {
-    util::TimePoint at;
-    std::uint64_t id;
-    std::uint32_t node;
-    std::function<void()> fn;
-    bool operator>(const PendingTimer& other) const {
-      if (at != other.at) return at > other.at;
-      return id > other.id;
-    }
-  };
-
   class Poller;
   class EpollPoller;
   class PollFdPoller;
 
   void loop();
-  void worker_loop(NodeRec& node);
-  void enqueue_local(std::uint32_t node_index, Task task);
   void wake();
 
   // Event-loop internals (called only from loop()):
@@ -238,7 +217,6 @@ class OsNetwork final : public Network {
   void start_connect(const std::shared_ptr<Conn>& conn);
   void arm_reconnect(const std::shared_ptr<Conn>& conn);
   void run_due_reconnects();
-  void run_due_timers();
   void sync_write_interest();
   [[nodiscard]] util::Duration next_deadline_delay();
   void queue_hello(Conn& conn);
@@ -247,11 +225,9 @@ class OsNetwork final : public Network {
   std::shared_ptr<Conn> route_for_locked(std::uint32_t dst);
 
   OsNetworkConfig config_;
-  util::SystemClock clock_;
   std::vector<std::unique_ptr<NodeRec>> nodes_;
   std::vector<std::uint32_t> local_node_ids_;
   bool started_ = false;
-  std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
 
   int listen_fd_ = -1;
@@ -270,22 +246,10 @@ class OsNetwork final : public Network {
   util::Rng reconnect_rng_{0x05ce7ULL};
   OsNetworkStats os_stats_;
 
-  mutable std::mutex timer_mutex_;
-  std::priority_queue<PendingTimer, std::vector<PendingTimer>, std::greater<>>
-      timers_;
-  // Leak-proof cancellation bookkeeping (same scheme as ThreadNetwork
-  // post-fix): `cancelled ⊆ pending`, so the set can never outgrow the
-  // timers actually outstanding.
-  std::unordered_set<std::uint64_t> pending_timer_ids_;
-  std::unordered_set<std::uint64_t> cancelled_timers_;
-  std::uint64_t next_timer_ = 1;
-
-  std::atomic<std::uint64_t> inflight_{0};
-  std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
-
   mutable std::mutex traffic_mutex_;
   TrafficStats traffic_;
+
+  Executor exec_;
 };
 
 }  // namespace discover::net

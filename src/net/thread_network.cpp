@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <stdexcept>
 
 namespace discover::net {
 
@@ -22,72 +20,34 @@ ThreadNetwork::~ThreadNetwork() { stop(); }
 
 NodeId ThreadNetwork::add_node(std::string name, MessageHandler* handler,
                                DomainId domain) {
-  if (started_) throw std::logic_error("add_node after start()");
-  auto node = std::make_unique<NodeState>();
-  node->name = std::move(name);
-  node->handler = handler;
-  node->domain = domain;
-  nodes_.push_back(std::move(node));
+  exec_.add_owner(handler);
+  nodes_.push_back(NodeInfo{std::move(name), domain});
   return NodeId{static_cast<std::uint32_t>(nodes_.size() - 1)};
 }
 
-void ThreadNetwork::start() {
-  if (started_) return;
-  started_ = true;
-  running_.store(true, std::memory_order_release);
-  for (auto& node : nodes_) {
-    node->worker = std::thread([this, n = node.get()] { worker_loop(*n); });
-  }
-  timer_thread_ = std::thread([this] { timer_loop(); });
-}
+void ThreadNetwork::start() { exec_.start(); }
 
-void ThreadNetwork::stop() {
-  if (!started_ || !running_.load(std::memory_order_acquire)) {
-    // Either never started or already stopped; join anything left.
-  }
-  running_.store(false, std::memory_order_release);
-  timer_cv_.notify_all();
-  for (auto& node : nodes_) node->cv.notify_all();
-  if (timer_thread_.joinable()) timer_thread_.join();
-  for (auto& node : nodes_) {
-    if (node->worker.joinable()) node->worker.join();
-  }
-  // Timers discarded at stop prune their cancellation marks with them.
-  const std::lock_guard<std::mutex> lock(timer_mutex_);
-  while (!timers_.empty()) timers_.pop();
-  pending_timer_ids_.clear();
-  cancelled_timers_.clear();
-}
-
-void ThreadNetwork::enqueue(std::uint32_t node_index, Task task) {
-  NodeState& node = *nodes_[node_index];
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    const std::lock_guard<std::mutex> lock(node.mutex);
-    node.inbox.push_back(std::move(task));
-  }
-  node.cv.notify_one();
-}
+void ThreadNetwork::stop() { exec_.stop(); }
 
 void ThreadNetwork::send(NodeId from, NodeId to, Channel channel,
                          Payload payload) {
   assert(to.value() < nodes_.size());
   const std::size_t size = payload.size();
-  Task task;
-  task.msg.src = from;
-  task.msg.dst = to;
-  task.msg.channel = channel;
-  task.msg.payload = std::move(payload);
-  task.msg.sent_at = now();
+  Message msg;
+  msg.src = from;
+  msg.dst = to;
+  msg.channel = channel;
+  msg.payload = std::move(payload);
+  msg.sent_at = now();
   {
     const std::lock_guard<std::mutex> lock(traffic_mutex_);
     traffic_.messages++;
     traffic_.bytes += size;
-    if (nodes_[from.value()]->domain != nodes_[to.value()]->domain) {
+    if (nodes_[from.value()].domain != nodes_[to.value()].domain) {
       traffic_.wan_messages++;
       traffic_.wan_bytes += size;
     }
-    task.msg.seq = traffic_.messages;
+    msg.seq = traffic_.messages;
   }
   bool duplicate = false;
   {
@@ -108,12 +68,8 @@ void ThreadNetwork::send(NodeId from, NodeId to, Channel channel,
       duplicate = true;
     }
   }
-  if (duplicate) {
-    Task copy;
-    copy.msg = task.msg;
-    enqueue(to.value(), std::move(copy));
-  }
-  enqueue(to.value(), std::move(task));
+  if (duplicate) exec_.deliver(to.value(), msg);
+  exec_.deliver(to.value(), std::move(msg));
 }
 
 void ThreadNetwork::set_fault_seed(std::uint64_t seed) {
@@ -144,41 +100,10 @@ FaultStats ThreadNetwork::fault_stats() const {
 TimerId ThreadNetwork::schedule(NodeId node, util::Duration delay,
                                 std::function<void()> fn) {
   assert(node.value() < nodes_.size());
-  PendingTimer t;
-  t.at = now() + std::max<util::Duration>(delay, 0);
-  t.node = node.value();
-  t.fn = std::move(fn);
-  TimerId id{0};
-  {
-    const std::lock_guard<std::mutex> lock(timer_mutex_);
-    t.id = next_timer_++;
-    id = TimerId{t.id};
-    pending_timer_ids_.insert(t.id);
-    timers_.push(std::move(t));
-  }
-  timer_cv_.notify_one();
-  return id;
+  return exec_.schedule(node.value(), delay, std::move(fn));
 }
 
-void ThreadNetwork::cancel(TimerId id) {
-  if (id.value() == 0) return;
-  const std::lock_guard<std::mutex> lock(timer_mutex_);
-  // A tombstone is only worth keeping while the timer can still fire;
-  // recording ids of already-fired timers grew this set without bound.
-  if (pending_timer_ids_.count(id.value()) != 0) {
-    cancelled_timers_.insert(id.value());
-  }
-}
-
-std::size_t ThreadNetwork::cancelled_timer_backlog() const {
-  const std::lock_guard<std::mutex> lock(timer_mutex_);
-  return cancelled_timers_.size();
-}
-
-std::size_t ThreadNetwork::pending_timer_count() const {
-  const std::lock_guard<std::mutex> lock(timer_mutex_);
-  return pending_timer_ids_.size();
-}
+void ThreadNetwork::cancel(TimerId id) { exec_.cancel(id); }
 
 TrafficStats ThreadNetwork::traffic() const {
   const std::lock_guard<std::mutex> lock(traffic_mutex_);
@@ -191,74 +116,15 @@ void ThreadNetwork::reset_traffic() {
 }
 
 const std::string& ThreadNetwork::node_name(NodeId id) const {
-  return nodes_.at(id.value())->name;
+  return nodes_.at(id.value()).name;
 }
 
 DomainId ThreadNetwork::node_domain(NodeId id) const {
-  return nodes_.at(id.value())->domain;
-}
-
-void ThreadNetwork::worker_loop(NodeState& node) {
-  while (true) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(node.mutex);
-      node.cv.wait(lock, [&] {
-        return !node.inbox.empty() ||
-               !running_.load(std::memory_order_acquire);
-      });
-      if (node.inbox.empty()) {
-        if (!running_.load(std::memory_order_acquire)) return;
-        continue;
-      }
-      task = std::move(node.inbox.front());
-      node.inbox.pop_front();
-    }
-    if (task.fn) {
-      task.fn();
-    } else if (node.handler != nullptr) {
-      node.handler->on_message(task.msg);
-    }
-    if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      idle_cv_.notify_all();
-    }
-  }
-}
-
-void ThreadNetwork::timer_loop() {
-  std::unique_lock<std::mutex> lock(timer_mutex_);
-  while (running_.load(std::memory_order_acquire)) {
-    if (timers_.empty()) {
-      timer_cv_.wait(lock);
-      continue;
-    }
-    const util::TimePoint next_at = timers_.top().at;
-    const util::TimePoint current = now();
-    if (next_at > current) {
-      timer_cv_.wait_for(lock, std::chrono::nanoseconds(next_at - current));
-      continue;
-    }
-    PendingTimer t = std::move(const_cast<PendingTimer&>(timers_.top()));
-    timers_.pop();
-    pending_timer_ids_.erase(t.id);
-    const auto it = cancelled_timers_.find(t.id);
-    if (it != cancelled_timers_.end()) {
-      cancelled_timers_.erase(it);
-      continue;
-    }
-    lock.unlock();
-    Task task;
-    task.fn = std::move(t.fn);
-    enqueue(t.node, std::move(task));
-    lock.lock();
-  }
+  return nodes_.at(id.value()).domain;
 }
 
 bool ThreadNetwork::wait_idle(util::Duration timeout) {
-  std::unique_lock<std::mutex> lock(idle_mutex_);
-  return idle_cv_.wait_for(lock, std::chrono::nanoseconds(timeout), [this] {
-    return inflight_.load(std::memory_order_acquire) == 0;
-  });
+  return exec_.wait_idle(timeout);
 }
 
 }  // namespace discover::net

@@ -1,25 +1,17 @@
 // Real-time threaded network backend.
 //
-// One worker thread per node (actor model: a node's handler and timers run
-// only on its own worker), a shared timer thread, and mutex+condvar
-// inboxes.  No link model: message delivery cost is whatever the machine
-// does, which is exactly what the saturation experiments (E1, E2, E3) need
-// to measure.
+// Every node is an owner of one net::Executor (actor model: a node's
+// handler and timers run only on its own worker).  No link model: message
+// delivery cost is whatever the machine does, which is exactly what the
+// saturation experiments (E1, E2, E3) need to measure.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <deque>
-#include <functional>
-#include <memory>
 #include <mutex>
-#include <queue>
 #include <set>
 #include <string>
-#include <thread>
-#include <unordered_set>
-#include <vector>
 
+#include "net/executor.h"
 #include "net/fault.h"
 #include "net/network.h"
 #include "util/clock.h"
@@ -49,8 +41,12 @@ class ThreadNetwork final : public Network {
   TimerId schedule(NodeId node, util::Duration delay,
                    std::function<void()> fn) override;
   void cancel(TimerId id) override;
-  [[nodiscard]] util::TimePoint now() const override { return clock_.now(); }
-  [[nodiscard]] const util::Clock& clock() const override { return clock_; }
+  [[nodiscard]] util::TimePoint now() const override {
+    return exec_.clock().now();
+  }
+  [[nodiscard]] const util::Clock& clock() const override {
+    return exec_.clock();
+  }
   [[nodiscard]] TrafficStats traffic() const override;
   void reset_traffic() override;
   [[nodiscard]] const std::string& node_name(NodeId id) const override;
@@ -73,65 +69,20 @@ class ThreadNetwork final : public Network {
   void heal(NodeId a, NodeId b);
   [[nodiscard]] FaultStats fault_stats() const;
 
-  /// Cancelled-but-unfired timer ids still tombstoned.  Bounded by the
-  /// number of outstanding timers (`cancelled ⊆ pending`): cancelling a
-  /// timer that already fired — the common best-effort case — records
-  /// nothing, and a fired or stop()-discarded timer prunes its mark.  The
-  /// osnet soak test pins this invariant.
-  [[nodiscard]] std::size_t cancelled_timer_backlog() const;
-  [[nodiscard]] std::size_t pending_timer_count() const;
+  /// Timers scheduled and neither fired nor cancelled.
+  [[nodiscard]] std::size_t pending_timer_count() const {
+    return exec_.pending_timer_count();
+  }
 
  private:
-  struct Task {
-    Message msg;
-    std::function<void()> fn;  // non-null => timer task
-  };
-
-  struct NodeState {
+  struct NodeInfo {
     std::string name;
-    MessageHandler* handler = nullptr;
     DomainId domain{0};
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<Task> inbox;
-    std::thread worker;
   };
 
-  struct PendingTimer {
-    util::TimePoint at;
-    std::uint64_t id;
-    std::uint32_t node;
-    std::function<void()> fn;
-    bool operator>(const PendingTimer& other) const {
-      if (at != other.at) return at > other.at;
-      return id > other.id;
-    }
-  };
-
-  void worker_loop(NodeState& node);
-  void timer_loop();
-  void enqueue(std::uint32_t node_index, Task task);
-
-  util::SystemClock clock_;
-  std::vector<std::unique_ptr<NodeState>> nodes_;
-  std::atomic<bool> running_{false};
-  bool started_ = false;
-
-  mutable std::mutex timer_mutex_;
-  std::condition_variable timer_cv_;
-  std::priority_queue<PendingTimer, std::vector<PendingTimer>, std::greater<>>
-      timers_;
-  // Ids of timers still queued; cancel() only tombstones members, so
-  // cancelled_timers_ can never outgrow the live timer population (it used
-  // to accumulate every cancelled id for the process lifetime).
-  std::unordered_set<std::uint64_t> pending_timer_ids_;
-  std::unordered_set<std::uint64_t> cancelled_timers_;
-  std::uint64_t next_timer_ = 1;
-  std::thread timer_thread_;
-
-  std::atomic<std::uint64_t> inflight_{0};
-  std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
+  // Index = node id = executor owner; a deque keeps node_name() references
+  // valid while later nodes are added.
+  std::deque<NodeInfo> nodes_;
 
   mutable std::mutex traffic_mutex_;
   TrafficStats traffic_;
@@ -141,6 +92,8 @@ class ThreadNetwork final : public Network {
   FaultPlan fault_plan_{};
   std::set<std::pair<std::uint32_t, std::uint32_t>> node_partitions_;
   FaultStats faults_;
+
+  Executor exec_;
 };
 
 }  // namespace discover::net

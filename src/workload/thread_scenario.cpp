@@ -65,7 +65,7 @@ void ThreadScenario::stop() {
   if (!started_) return;
   started_ = false;
   // Join the network workers first so no new messages route into the shard
-  // queues, then drain and join each server's shard pool — after this,
+  // queues, then drain and join each server's shard executor — after this,
   // stats()/stats_sum() reads are ordered by the thread joins.
   net_.stop();
   for (auto& server : servers_) server->drain_shards();

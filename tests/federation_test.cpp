@@ -5,9 +5,6 @@
 //    byte-identical per-app event streams at the subscribing peer (after
 //    normalising the wall-clock stamps and the core-tagged id mints that
 //    legitimately differ);
-//  * typed startup error — the one federation combination sharding does
-//    not support (emulate_legacy_peer) is rejected up front from
-//    set_registry / set_identity_directory instead of misbehaving later;
 //  * end-to-end — clients of a sharded server steer, post to and poll
 //    apps hosted at an unsharded peer and vice versa: the cross-shard
 //    select/command/collab/history hops all cross the remote relay.
@@ -16,13 +13,11 @@
 #include <cstdint>
 #include <future>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "app/synthetic.h"
 #include "core/server.h"
-#include "net/thread_network.h"
 #include "workload/scenario.h"
 #include "workload/sync_ops.h"
 #include "workload/thread_scenario.h"
@@ -196,39 +191,6 @@ TEST(FederationWire, ShardedAndUnshardedPeersAreByteIdentical) {
         << "per-app stream for " << name
         << " differs between shard_count 1 and 4";
   }
-}
-
-// ---------------------------------------------------------------------------
-// Typed startup error for the unsupported federation combination.
-// ---------------------------------------------------------------------------
-
-TEST(FederationConfig, ShardedLegacyPeerEmulationIsATypedStartupError) {
-  net::ThreadNetwork net;
-  core::ServerConfig cfg;
-  cfg.name = "bad-combo";
-  cfg.shard_count = 4;
-  cfg.emulate_legacy_peer = true;
-  core::DiscoverServer server(net, cfg);
-  const net::NodeId node = net.add_node("server:bad-combo", &server);
-  server.attach(node);
-  ASSERT_TRUE(server.sharded());
-  const orb::ObjectRef none;
-  EXPECT_THROW(server.set_registry(none, none), std::invalid_argument);
-  EXPECT_THROW(server.set_identity_directory(none), std::invalid_argument);
-}
-
-TEST(FederationConfig, UnshardedLegacyPeerEmulationStillFederates) {
-  net::ThreadNetwork net;
-  core::ServerConfig cfg;
-  cfg.name = "legacy-ok";
-  cfg.emulate_legacy_peer = true;
-  core::DiscoverServer server(net, cfg);
-  const net::NodeId node = net.add_node("server:legacy-ok", &server);
-  server.attach(node);
-  ASSERT_FALSE(server.sharded());
-  const orb::ObjectRef none;
-  EXPECT_NO_THROW(server.set_registry(none, none));
-  EXPECT_NO_THROW(server.set_identity_directory(none));
 }
 
 // ---------------------------------------------------------------------------

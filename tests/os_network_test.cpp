@@ -1,6 +1,6 @@
 // The OS-socket transport suite (`ctest -L osnet`): real TCP over loopback.
 //
-// Four properties are pinned here because in-process backends can never
+// Three properties are pinned here because in-process backends can never
 // exercise them:
 //   * arbitrary stream segmentation — every incremental decoder (frame,
 //     HTTP, GIOP header peek) must survive 1..N-byte delivery fragments;
@@ -8,9 +8,8 @@
 //     partial writev, and the delivered byte sequence must still be
 //     identical to a ThreadNetwork run of the same workload;
 //   * process lifecycle — reconnect after a peer restart, and a typed
-//     (not fatal) startup error when the listen port is taken;
-//   * timer-table hygiene — cancelled-timer bookkeeping stays bounded on
-//     both real-time backends (the leak regression test).
+//     (not fatal) startup error when the listen port is taken.
+// Timer hygiene on both real-time backends lives in executor_test.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -612,82 +611,6 @@ TEST(OsNetworkTest, RepeatedTimerChainTicks) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_GE(ticks.load(), 100);
-  onet.stop();
-}
-
-// -- timer-table hygiene (the leak regression) -------------------------------
-
-TEST(TimerSoakTest, ThreadNetworkCancelledBacklogStaysBounded) {
-  net::ThreadNetwork tnet;
-  NullHandler h;
-  const net::NodeId node = tnet.add_node("t", &h);
-  tnet.start();
-
-  std::atomic<int> fired{0};
-  // Thousands of schedule/cancel cycles; before the fix every cancelled id
-  // was remembered forever.
-  for (int round = 0; round < 50; ++round) {
-    std::vector<net::TimerId> ids;
-    ids.reserve(100);
-    for (int i = 0; i < 100; ++i) {
-      ids.push_back(tnet.schedule(node, util::milliseconds(1 + i % 5),
-                                  [&] { ++fired; }));
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 2) tnet.cancel(ids[i]);
-    // The backlog can never exceed the timers still outstanding.
-    EXPECT_LE(tnet.cancelled_timer_backlog(), tnet.pending_timer_count());
-  }
-
-  // Once everything has fired or been discarded, the bookkeeping is empty.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(20);
-  while (tnet.pending_timer_count() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(tnet.pending_timer_count(), 0u);
-  EXPECT_EQ(tnet.cancelled_timer_backlog(), 0u);
-  EXPECT_GT(fired.load(), 0);
-
-  // Cancelling an already-fired id must not grow the backlog either.
-  const net::TimerId late = tnet.schedule(node, 0, [] {});
-  const auto fire_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (tnet.pending_timer_count() > 0 &&
-         std::chrono::steady_clock::now() < fire_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  tnet.cancel(late);
-  EXPECT_EQ(tnet.cancelled_timer_backlog(), 0u);
-  tnet.stop();
-}
-
-TEST(TimerSoakTest, OsNetworkCancelledBacklogStaysBounded) {
-  net::OsNetworkConfig cfg;
-  cfg.listen = false;
-  net::OsNetwork onet(cfg);
-  NullHandler h;
-  const net::NodeId node = onet.add_node("t", &h);
-  ASSERT_TRUE(onet.start().ok());
-
-  std::atomic<int> fired{0};
-  for (int round = 0; round < 50; ++round) {
-    std::vector<net::TimerId> ids;
-    for (int i = 0; i < 100; ++i) {
-      ids.push_back(onet.schedule(node, util::milliseconds(1 + i % 5),
-                                  [&] { ++fired; }));
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 2) onet.cancel(ids[i]);
-  }
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (onet.cancelled_timer_backlog() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(onet.cancelled_timer_backlog(), 0u);
-  EXPECT_GT(fired.load(), 0);
   onet.stop();
 }
 

@@ -1,8 +1,6 @@
 // Sharded multi-core server core (DESIGN.md §5i):
 //  * routing — the app-affinity hashes are pure, stable and in range, and
 //    every minted app id routes back to the core that minted it;
-//  * shard pool — tasks run on their own worker, wait_idle drains, posts
-//    after stop are dropped instead of queued into a dead pool;
 //  * sharded counters — concurrent increments from many threads are never
 //    lost (the satellite regression test for the shard-safe registry);
 //  * Sim clamp — shard_count > 1 on the single-threaded Sim backend is
@@ -13,7 +11,6 @@
 //    /metrics scrape sums per-core registries, and stats_sum() adds up.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cmath>
 #include <future>
@@ -28,7 +25,6 @@
 #include "app/synthetic.h"
 #include "core/server.h"
 #include "http/http_message.h"
-#include "net/shard_pool.h"
 #include "util/metrics.h"
 #include "workload/scenario.h"
 #include "workload/sync_ops.h"
@@ -108,39 +104,6 @@ TEST(ShardRouting, AppAndSessionPairsRouteStably) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Shard pool
-// ---------------------------------------------------------------------------
-
-TEST(ShardPool, TasksRunOnTheirOwnWorker) {
-  net::ShardPool pool(4);
-  pool.start();
-  std::atomic<int> done{0};
-  std::array<std::size_t, 4> observed{};
-  for (std::size_t i = 0; i < 4; ++i) {
-    pool.post(i, [&observed, &done, i] {
-      observed[i] = net::ShardPool::current_shard();
-      ++done;
-    });
-  }
-  ASSERT_TRUE(pool.wait_idle(util::seconds(5)));
-  EXPECT_EQ(done.load(), 4);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(observed[i], i);
-  // Off-pool threads have no shard.
-  EXPECT_EQ(net::ShardPool::current_shard(), net::ShardPool::kNotAShard);
-  pool.stop();
-}
-
-TEST(ShardPool, PostsAfterStopAreDroppedAndWaitIdleStillReturns) {
-  net::ShardPool pool(2);
-  pool.start();
-  pool.stop();
-  std::atomic<bool> ran{false};
-  pool.post(0, [&ran] { ran = true; });
-  EXPECT_TRUE(pool.wait_idle(util::seconds(1)));
-  EXPECT_FALSE(ran.load());
 }
 
 // ---------------------------------------------------------------------------
