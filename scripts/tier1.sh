@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, then the chaos suite again
 # under ThreadSanitizer (the fault-injection paths in ThreadNetwork touch
-# shared state from worker threads; TSan proves the locking).
+# shared state from worker threads; TSan proves the locking), and the
+# OS-socket transport suite under both TSan and AddressSanitizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,9 +49,17 @@ cmake --build build-tsan -j "$(nproc)" --target federation_test
 echo "== tier 1h: OS-socket transport suite under TSan =="
 # Real TCP over loopback: the event loop, the executor's per-node workers,
 # its timer thread and sender threads all touch shared state; TSan proves
-# the io_mutex_ and executor queue/timer discipline.  The throughput A/B is
-# scripts/bench_os.sh.
+# the io_mutex_, wake-flag and executor queue/timer discipline.  The
+# throughput A/B is scripts/bench_os.sh.
 cmake --build build-tsan -j "$(nproc)" --target os_network_test executor_test
 (cd build-tsan && ctest -L osnet --output-on-failure)
+
+echo "== tier 1i: OS-socket transport suite under ASan =="
+# flush() hands writev raw pointers into queued frames while unlocked, and
+# one call may span up to IOV_MAX iovecs; ASan proves every range it passes
+# stays live while senders push behind it.
+cmake -B build-asan -S . -DDISCOVER_SANITIZE=address >/dev/null
+cmake --build build-asan -j "$(nproc)" --target os_network_test executor_test
+(cd build-asan && ctest -L osnet --output-on-failure)
 
 echo "tier1: all green"

@@ -98,6 +98,14 @@ bool Executor::on_owner(std::size_t owner) const {
   return tl_executor == this && tl_owner == owner;
 }
 
+bool Executor::on_worker() const { return tl_executor == this; }
+
+void Executor::set_after_task(std::function<void()> hook) {
+  const std::lock_guard<std::mutex> lock(lifecycle_mutex_);
+  if (started_) throw std::logic_error("set_after_task after start()");
+  after_task_ = std::move(hook);
+}
+
 void Executor::run_worker(std::size_t index) {
   tl_executor = this;
   tl_owner = index;
@@ -119,6 +127,7 @@ void Executor::run_worker(std::size_t index) {
         o.handler->on_message(task.msg);
       }
     }
+    if (after_task_) after_task_();
     finish(1);
     lock.lock();
   }

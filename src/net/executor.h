@@ -68,6 +68,13 @@ class Executor {
 
   /// True when the calling thread is THIS executor's worker for `owner`.
   [[nodiscard]] bool on_owner(std::size_t owner) const;
+  /// True when the calling thread is any of THIS executor's workers.
+  [[nodiscard]] bool on_worker() const;
+
+  /// Runs `hook` on the worker after every task or message, before it
+  /// counts as finished, so wait_idle() covers what the hook does.  Set
+  /// before start().
+  void set_after_task(std::function<void()> hook);
 
   [[nodiscard]] const util::Clock& clock() const { return clock_; }
 
@@ -98,6 +105,7 @@ class Executor {
 
   util::SystemClock clock_;
   std::vector<std::unique_ptr<Owner>> owners_;
+  std::function<void()> after_task_;
 
   std::mutex lifecycle_mutex_;
   bool started_ = false;

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <stdexcept>
 
@@ -26,9 +27,26 @@ namespace discover::net {
 namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
-/// writev batches at most this many iovecs per call (IOV_MAX is >= 1024
-/// everywhere; 64 keeps the stack array small and the syscall big enough).
-constexpr std::size_t kMaxIov = 64;
+/// One writev carries up to IOV_MAX iovecs (two per frame: header, payload).
+#ifdef IOV_MAX
+constexpr std::size_t kMaxIov = IOV_MAX;
+#else
+constexpr std::size_t kMaxIov = 1024;
+#endif
+
+/// Remote frames the running task has sent on one of an OsNetwork's own
+/// workers.  The first wakes the loop at once; the rest owe one wake, paid
+/// when the task ends.  A worker thread belongs to one network, so the
+/// count never mixes two networks' sends.
+thread_local unsigned tl_task_sends = 0;
+
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
+  counter.fetch_add(n, std::memory_order_relaxed);
+}
+
+std::uint64_t value_of(const std::atomic<std::uint64_t>& counter) {
+  return counter.load(std::memory_order_relaxed);
+}
 
 std::string addr_key_of(const std::string& host, std::uint16_t port) {
   return host + ":" + std::to_string(port);
@@ -166,7 +184,14 @@ class OsNetwork::PollFdPoller final : public OsNetwork::Poller {
 
 // ---------------------------------------------------------------------------
 
-OsNetwork::OsNetwork(OsNetworkConfig config) : config_(std::move(config)) {}
+OsNetwork::OsNetwork(OsNetworkConfig config) : config_(std::move(config)) {
+  // The wake a task's later sends owe, paid when the task ends (before it
+  // counts as finished, so wait_idle() also covers the wake).
+  exec_.set_after_task([this] {
+    if (tl_task_sends > 1) wake();
+    tl_task_sends = 0;
+  });
+}
 
 OsNetwork::~OsNetwork() { stop(); }
 
@@ -279,7 +304,7 @@ void OsNetwork::stop() {
   if (!started_ || stopping_.exchange(true, std::memory_order_acq_rel)) {
     return;
   }
-  wake();
+  write_wake_byte();
   if (loop_thread_.joinable()) loop_thread_.join();
   exec_.stop();
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
@@ -288,9 +313,17 @@ void OsNetwork::stop() {
 }
 
 void OsNetwork::wake() {
+  // One pipe byte per burst: the loop clears the flag before it scans the
+  // queues, so a frame queued after that scan always finds it clear.
+  if (wake_pending_.exchange(true, std::memory_order_acq_rel)) return;
+  write_wake_byte();
+}
+
+void OsNetwork::write_wake_byte() {
   if (wake_fds_[1] < 0) return;
   const char b = 'w';
   [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &b, 1);
+  bump(os_stats_.wakes);
 }
 
 bool OsNetwork::wait_idle(util::Duration timeout) {
@@ -303,17 +336,13 @@ void OsNetwork::send(NodeId from, NodeId to, Channel channel,
                      Payload payload) {
   assert(to.value() < nodes_.size());
   const std::size_t size = payload.size();
-  std::uint64_t seq = 0;
-  {
-    const std::lock_guard<std::mutex> lock(traffic_mutex_);
-    traffic_.messages++;
-    traffic_.bytes += size;
-    if (from.value() < nodes_.size() &&
-        nodes_[from.value()]->domain != nodes_[to.value()]->domain) {
-      traffic_.wan_messages++;
-      traffic_.wan_bytes += size;
-    }
-    seq = traffic_.messages;
+  const std::uint64_t seq =
+      traffic_.messages.fetch_add(1, std::memory_order_relaxed) + 1;
+  bump(traffic_.bytes, size);
+  if (from.value() < nodes_.size() &&
+      nodes_[from.value()]->domain != nodes_[to.value()]->domain) {
+    bump(traffic_.wan_messages);
+    bump(traffic_.wan_bytes, size);
   }
 
   NodeRec& dst = *nodes_[to.value()];
@@ -333,23 +362,26 @@ void OsNetwork::send(NodeId from, NodeId to, Channel channel,
   chunk.header = encode_frame_header(
       from, to, static_cast<std::uint32_t>(channel), payload.size());
   chunk.payload = std::move(payload);
-  bool need_wake = false;
   {
     const std::lock_guard<std::mutex> lock(io_mutex_);
     std::shared_ptr<Conn> conn = route_for_locked(to.value());
     if (!conn) {
-      ++os_stats_.dropped_no_route;
+      bump(os_stats_.dropped_no_route);
       return;
     }
     if (conn->outq_bytes + chunk.total() > config_.max_outbox_bytes) {
-      ++os_stats_.dropped_overflow;
+      bump(os_stats_.dropped_overflow);
       return;
     }
     conn->outq_bytes += chunk.total();
     conn->outq.push_back(std::move(chunk));
-    need_wake = true;
   }
-  if (need_wake) wake();
+  // On this network's own workers a task's first frame wakes the loop at
+  // once, so the loop writes while the task goes on; its later frames
+  // defer their wake to the end of the task, so a fan-out task costs at
+  // most two wakes.  Any other thread (a shard pool's worker included)
+  // takes the wake flag alone.
+  if (!exec_.on_worker() || tl_task_sends++ == 0) wake();
 }
 
 /// Route selection (io_mutex_ held): sticky per node id.  First preference
@@ -435,7 +467,10 @@ void OsNetwork::loop() {
       if (drained || now() >= flush_deadline) break;
     }
 
-    sync_write_interest();
+    // Clear the wake flag *before* scanning the queues: a frame queued after
+    // the scan finds it clear and writes the pipe, so no wake is lost.
+    wake_pending_.store(false, std::memory_order_seq_cst);
+    flush_queued();
     // Round up: a sub-millisecond reconnect deadline must sleep one tick,
     // not spin through zero-timeout polls until it is due.
     const int timeout_ms = static_cast<int>(
@@ -487,21 +522,6 @@ void OsNetwork::loop() {
   }
 }
 
-void OsNetwork::sync_write_interest() {
-  // Senders only enqueue + wake; the loop owns poller interest.  Conn
-  // counts here are per-peer-process, so the scan is tiny.
-  const std::lock_guard<std::mutex> lock(io_mutex_);
-  for (const auto& [fd, conn] : conns_by_fd_) {
-    if (!conn->registered) continue;
-    const bool want =
-        conn->state == Conn::State::connecting || !conn->outq.empty();
-    if (want != conn->want_write) {
-      conn->want_write = want;
-      poller_->mod(fd, /*read=*/true, /*write=*/want);
-    }
-  }
-}
-
 void OsNetwork::queue_hello(Conn& conn) {
   HelloFrame hello;
   hello.version = 1;
@@ -535,11 +555,11 @@ void OsNetwork::accept_ready() {
       const std::lock_guard<std::mutex> lock(io_mutex_);
       queue_hello(*conn);
       conns_by_fd_[fd] = conn;
-      ++os_stats_.accepted;
     }
+    bump(os_stats_.accepted);
+    // The queued hello goes out with the next pass's flush_queued().
     conn->registered = true;
-    conn->want_write = true;
-    poller_->add(fd, /*read=*/true, /*write=*/true);
+    poller_->add(fd, /*read=*/true, /*write=*/false);
   }
 }
 
@@ -547,8 +567,7 @@ void OsNetwork::start_connect(const std::shared_ptr<Conn>& conn) {
   std::string host;
   std::uint16_t port = 0;
   if (!split_addr_key(conn->addr_key, host, port)) {
-    const std::lock_guard<std::mutex> lock(io_mutex_);
-    ++os_stats_.connect_failures;
+    bump(os_stats_.connect_failures);
     return;
   }
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -564,18 +583,14 @@ void OsNetwork::start_connect(const std::shared_ptr<Conn>& conn) {
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     ::close(fd);
-    const std::lock_guard<std::mutex> lock(io_mutex_);
-    ++os_stats_.connect_failures;
+    bump(os_stats_.connect_failures);
     return;  // hopeless address: no retry
   }
   const int rc =
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   if (rc != 0 && errno != EINPROGRESS) {
     ::close(fd);
-    {
-      const std::lock_guard<std::mutex> lock(io_mutex_);
-      ++os_stats_.connect_failures;
-    }
+    bump(os_stats_.connect_failures);
     arm_reconnect(conn);
     return;
   }
@@ -591,9 +606,10 @@ void OsNetwork::start_connect(const std::shared_ptr<Conn>& conn) {
     if (!conn->outq.empty()) conn->outq.front().offset = 0;
     queue_hello(*conn);
     conns_by_fd_[fd] = conn;
-    ++os_stats_.connects;
-    if (conn->reconnect_attempts > 0) ++os_stats_.reconnects;
   }
+  bump(os_stats_.connects);
+  if (conn->reconnect_attempts > 0) bump(os_stats_.reconnects);
+  // EPOLLOUT reports the connect's outcome; conn_writable() then flushes.
   conn->registered = true;
   conn->want_write = true;
   poller_->add(fd, /*read=*/true, /*write=*/true);
@@ -605,7 +621,7 @@ void OsNetwork::arm_reconnect(const std::shared_ptr<Conn>& conn) {
   const RetryPolicy& policy = config_.reconnect;
   if (conn->reconnect_attempts >= policy.max_attempts) {
     // Give up this cycle: drop what was queued; a later send() restarts.
-    os_stats_.dropped_reconnect_exhausted += conn->outq.size();
+    bump(os_stats_.dropped_reconnect_exhausted, conn->outq.size());
     conn->outq.clear();
     conn->outq_bytes = 0;
     conn->reconnect_attempts = 0;
@@ -644,10 +660,7 @@ void OsNetwork::conn_writable(const std::shared_ptr<Conn>& conn) {
     socklen_t len = sizeof(err);
     ::getsockopt(conn->fd, SOL_SOCKET, SO_ERROR, &err, &len);
     if (err != 0) {
-      {
-        const std::lock_guard<std::mutex> lock(io_mutex_);
-        ++os_stats_.connect_failures;
-      }
+      bump(os_stats_.connect_failures);
       close_conn(conn, "connect failed");
       return;
     }
@@ -658,19 +671,41 @@ void OsNetwork::conn_writable(const std::shared_ptr<Conn>& conn) {
   flush(conn);
 }
 
+void OsNetwork::flush_queued() {
+  // Every open connection with queued frames is flushed directly; one whose
+  // EPOLLOUT is armed waits for it instead (the kernel pushed back).
+  std::vector<std::shared_ptr<Conn>> ready;
+  {
+    const std::lock_guard<std::mutex> lock(io_mutex_);
+    for (const auto& [fd, conn] : conns_by_fd_) {
+      if (conn->state == Conn::State::open && !conn->want_write &&
+          !conn->outq.empty()) {
+        ready.push_back(conn);
+      }
+    }
+  }
+  for (const auto& conn : ready) {
+    if (conn->fd >= 0) flush(conn);
+  }
+}
+
 void OsNetwork::flush(const std::shared_ptr<Conn>& conn) {
   // The coalesced flush: gather queued frame headers + refcounted payload
   // bodies into one writev.  Only the loop pops chunks and only senders
   // push them, so deque *references* taken under the lock stay valid while
   // the syscall runs unlocked (push_back never moves existing elements).
+  iovec iov[kMaxIov];
   while (true) {
-    iovec iov[kMaxIov];
     std::size_t niov = 0;
     std::size_t offered = 0;
+    bool capped = false;  // frames left queued behind a full iovec array
     {
       const std::lock_guard<std::mutex> lock(io_mutex_);
-      for (auto it = conn->outq.begin();
-           it != conn->outq.end() && niov + 2 <= kMaxIov; ++it) {
+      for (auto it = conn->outq.begin(); it != conn->outq.end(); ++it) {
+        if (niov + 2 > kMaxIov) {
+          capped = true;
+          break;
+        }
         OutChunk& c = *it;
         std::size_t off = c.offset;
         if (off < kFrameHeaderBytes) {
@@ -692,25 +727,28 @@ void OsNetwork::flush(const std::shared_ptr<Conn>& conn) {
         }
       }
     }
-    if (niov == 0) return;
+    if (niov == 0) {
+      set_write_interest(*conn, false);
+      return;
+    }
     const ssize_t written =
         ::writev(conn->fd, iov, static_cast<int>(niov));
+    bump(os_stats_.writevs);
     if (written < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        const std::lock_guard<std::mutex> lock(io_mutex_);
-        ++os_stats_.eagain_writes;
-        return;  // tail stays queued; poller interest re-arms it
+        bump(os_stats_.eagain_writes);
+        set_write_interest(*conn, true);  // tail stays queued
+        return;
       }
       close_conn(conn, "write failed");
       return;
     }
-    bool more;
+    bump(os_stats_.bytes_out, static_cast<std::uint64_t>(written));
+    const bool short_write = static_cast<std::size_t>(written) < offered;
+    if (short_write) bump(os_stats_.partial_writes);
+    std::uint64_t frames_done = 0;
     {
       const std::lock_guard<std::mutex> lock(io_mutex_);
-      os_stats_.bytes_out += static_cast<std::uint64_t>(written);
-      if (static_cast<std::size_t>(written) < offered) {
-        ++os_stats_.partial_writes;
-      }
       // Re-queue the unsent tail byte-exactly: advance offsets, pop only
       // fully-written frames.  Order is untouched — FIFO survives any
       // short write.
@@ -723,15 +761,26 @@ void OsNetwork::flush(const std::shared_ptr<Conn>& conn) {
         remaining -= used;
         if (front.offset == front.total()) {
           conn->outq_bytes -= front.total();
-          ++os_stats_.frames_out;
+          ++frames_done;
           conn->outq.pop_front();
         }
       }
-      more = !conn->outq.empty() &&
-             static_cast<std::size_t>(written) == offered;
     }
-    if (!more) return;
+    bump(os_stats_.frames_out, frames_done);
+    // A short write means the kernel pushed back: wait for EPOLLOUT.  A full
+    // one is done unless the iovec cap left frames behind; frames queued
+    // since the scan bring their own wake for the loop's next pass.
+    if (short_write || !capped) {
+      set_write_interest(*conn, short_write);
+      return;
+    }
   }
+}
+
+void OsNetwork::set_write_interest(Conn& conn, bool want) {
+  if (!conn.registered || conn.want_write == want) return;
+  conn.want_write = want;
+  poller_->mod(conn.fd, /*read=*/true, /*write=*/want);
 }
 
 void OsNetwork::conn_readable(const std::shared_ptr<Conn>& conn) {
@@ -747,18 +796,12 @@ void OsNetwork::conn_readable(const std::shared_ptr<Conn>& conn) {
       close_conn(conn, "read failed");
       return;
     }
-    {
-      const std::lock_guard<std::mutex> lock(io_mutex_);
-      os_stats_.bytes_in += static_cast<std::uint64_t>(n);
-    }
+    bump(os_stats_.bytes_in, static_cast<std::uint64_t>(n));
     std::vector<Frame> frames;
     const util::Status st =
         conn->decoder.feed(buf, static_cast<std::size_t>(n), frames);
     if (!st.ok()) {
-      {
-        const std::lock_guard<std::mutex> lock(io_mutex_);
-        ++os_stats_.protocol_errors;
-      }
+      bump(os_stats_.protocol_errors);
       DISCOVER_LOG(warn, "osnet") << "framing error: " << st.error().message;
       close_conn(conn, "protocol error");
       return;
@@ -773,10 +816,7 @@ void OsNetwork::handle_frame(const std::shared_ptr<Conn>& conn,
   if (frame.is_hello()) {
     auto hello = decode_hello(frame.payload);
     if (!hello.ok()) {
-      {
-        const std::lock_guard<std::mutex> lock(io_mutex_);
-        ++os_stats_.protocol_errors;
-      }
+      bump(os_stats_.protocol_errors);
       close_conn(conn, "bad hello");
       return;
     }
@@ -785,10 +825,7 @@ void OsNetwork::handle_frame(const std::shared_ptr<Conn>& conn,
     return;
   }
   if (!conn->hello_received) {
-    {
-      const std::lock_guard<std::mutex> lock(io_mutex_);
-      ++os_stats_.protocol_errors;
-    }
+    bump(os_stats_.protocol_errors);
     close_conn(conn, "data before hello");
     return;
   }
@@ -796,8 +833,7 @@ void OsNetwork::handle_frame(const std::shared_ptr<Conn>& conn,
   const std::uint32_t src = frame.src.value();
   if (dst >= nodes_.size() || src >= nodes_.size() || !nodes_[dst]->local ||
       frame.channel_raw > static_cast<std::uint32_t>(Channel::giop)) {
-    const std::lock_guard<std::mutex> lock(io_mutex_);
-    ++os_stats_.dropped_no_route;
+    bump(os_stats_.dropped_no_route);
     return;
   }
   Message msg;
@@ -806,11 +842,8 @@ void OsNetwork::handle_frame(const std::shared_ptr<Conn>& conn,
   msg.channel = frame.channel();
   msg.payload = Payload(std::move(frame.payload));
   msg.sent_at = now();  // receiver clock; processes share no epoch
-  {
-    const std::lock_guard<std::mutex> lock(io_mutex_);
-    msg.seq = ++recv_seq_;
-    ++os_stats_.frames_in;
-  }
+  msg.seq = recv_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  bump(os_stats_.frames_in);
   exec_.deliver(nodes_[dst]->owner, std::move(msg));
 }
 
@@ -870,18 +903,41 @@ void OsNetwork::close_conn(const std::shared_ptr<Conn>& conn,
 // -- accounting -------------------------------------------------------------
 
 TrafficStats OsNetwork::traffic() const {
-  const std::lock_guard<std::mutex> lock(traffic_mutex_);
-  return traffic_;
+  TrafficStats t;
+  t.messages = value_of(traffic_.messages);
+  t.bytes = value_of(traffic_.bytes);
+  t.wan_messages = value_of(traffic_.wan_messages);
+  t.wan_bytes = value_of(traffic_.wan_bytes);
+  return t;
 }
 
 void OsNetwork::reset_traffic() {
-  const std::lock_guard<std::mutex> lock(traffic_mutex_);
-  traffic_ = {};
+  for (auto* counter : {&traffic_.messages, &traffic_.bytes,
+                        &traffic_.wan_messages, &traffic_.wan_bytes}) {
+    counter->store(0, std::memory_order_relaxed);
+  }
 }
 
 OsNetworkStats OsNetwork::os_stats() const {
-  const std::lock_guard<std::mutex> lock(io_mutex_);
-  return os_stats_;
+  const AtomicOsStats& a = os_stats_;
+  OsNetworkStats s;
+  s.accepted = value_of(a.accepted);
+  s.connects = value_of(a.connects);
+  s.reconnects = value_of(a.reconnects);
+  s.connect_failures = value_of(a.connect_failures);
+  s.frames_in = value_of(a.frames_in);
+  s.frames_out = value_of(a.frames_out);
+  s.bytes_in = value_of(a.bytes_in);
+  s.bytes_out = value_of(a.bytes_out);
+  s.partial_writes = value_of(a.partial_writes);
+  s.eagain_writes = value_of(a.eagain_writes);
+  s.wakes = value_of(a.wakes);
+  s.writevs = value_of(a.writevs);
+  s.dropped_no_route = value_of(a.dropped_no_route);
+  s.dropped_overflow = value_of(a.dropped_overflow);
+  s.dropped_reconnect_exhausted = value_of(a.dropped_reconnect_exhausted);
+  s.protocol_errors = value_of(a.protocol_errors);
+  return s;
 }
 
 std::size_t OsNetwork::open_connections() const {

@@ -11,10 +11,21 @@
 //    worker, never on the I/O thread, and timers never touch the loop;
 //  * one TCP connection per peer process carries every channel of every
 //    (src, dst) pair as length-prefixed frames (net/frame_codec.h), FIFO;
-//  * writes are coalesced: send() queues the refcounted net::Payload —
-//    encode-once buffers are never copied into the socket layer — and the
-//    event loop flushes with writev(), handling EAGAIN / short writes by
-//    re-queueing the unsent tail.
+//  * writes are coalesced per burst: send() queues the refcounted
+//    net::Payload — encode-once buffers are never copied into the socket
+//    layer — and writes the wake pipe only when the atomic wake flag was
+//    clear; the loop clears that flag before it scans the queues, so a
+//    frame queued after the scan always wakes it.  On one of this network's
+//    own workers only a task's first send wakes the loop at once; the
+//    task's later sends defer their wake to the end of the task.  A frame
+//    sent from a task is on its way to the wire no later than the end of
+//    that task, and a fan-out task costs at most two wakes.  Tasks on any
+//    other executor (a sharded server's shard pool) take the flag alone:
+//    one wake per loop pass, as for sends from any other thread.  Each loop
+//    pass flushes every open connection with queued frames directly, in
+//    one writev() of up to IOV_MAX iovecs; EPOLLOUT is armed only while a
+//    connect is in flight or the kernel pushes back (EAGAIN / a short
+//    write), and the unsent tail simply stays queued.
 //
 // Node ids are a *global* space coordinated by construction order: every
 // process creates the same topology, calling add_node() for the nodes it
@@ -96,6 +107,9 @@ struct OsNetworkStats {
   std::uint64_t bytes_out = 0;
   std::uint64_t partial_writes = 0;   // writev consumed less than offered
   std::uint64_t eagain_writes = 0;    // writev said try again later
+  std::uint64_t wakes = 0;            // wake-pipe writes
+  std::uint64_t writevs = 0;          // writev calls (frames_out / writevs
+                                      // = frames per writev)
   std::uint64_t dropped_no_route = 0;
   std::uint64_t dropped_overflow = 0;
   std::uint64_t dropped_reconnect_exhausted = 0;
@@ -193,7 +207,7 @@ class OsNetwork final : public Network {
     std::deque<OutChunk> outq;
     std::size_t outq_bytes = 0;
     bool registered = false;   // known to the poller
-    bool want_write = false;   // current poller write interest
+    bool want_write = false;   // EPOLLOUT armed (loop thread only)
     std::uint32_t reconnect_attempts = 0;
     bool reconnect_armed = false;
   };
@@ -202,14 +216,32 @@ class OsNetwork final : public Network {
   class EpollPoller;
   class PollFdPoller;
 
+  // Lock-free mirrors of OsNetworkStats and TrafficStats: relaxed atomics,
+  // so counting never takes a lock; os_stats() and traffic() copy them out.
+  struct AtomicOsStats {
+    std::atomic<std::uint64_t> accepted{0}, connects{0}, reconnects{0},
+        connect_failures{0}, frames_in{0}, frames_out{0}, bytes_in{0},
+        bytes_out{0}, partial_writes{0}, eagain_writes{0}, wakes{0},
+        writevs{0}, dropped_no_route{0}, dropped_overflow{0},
+        dropped_reconnect_exhausted{0}, protocol_errors{0};
+  };
+  struct AtomicTraffic {
+    std::atomic<std::uint64_t> messages{0}, bytes{0}, wan_messages{0},
+        wan_bytes{0};
+  };
+
   void loop();
+  /// Wakes the loop unless a wake is already pending since its last scan.
   void wake();
+  void write_wake_byte();
 
   // Event-loop internals (called only from loop()):
   void accept_ready();
   void conn_readable(const std::shared_ptr<Conn>& conn);
   void conn_writable(const std::shared_ptr<Conn>& conn);
+  void flush_queued();
   void flush(const std::shared_ptr<Conn>& conn);
+  void set_write_interest(Conn& conn, bool want);
   void close_conn(const std::shared_ptr<Conn>& conn, const char* why);
   void handle_frame(const std::shared_ptr<Conn>& conn, Frame&& frame);
   void adopt_routes(const std::shared_ptr<Conn>& conn,
@@ -217,7 +249,6 @@ class OsNetwork final : public Network {
   void start_connect(const std::shared_ptr<Conn>& conn);
   void arm_reconnect(const std::shared_ptr<Conn>& conn);
   void run_due_reconnects();
-  void sync_write_interest();
   [[nodiscard]] util::Duration next_deadline_delay();
   void queue_hello(Conn& conn);
 
@@ -233,6 +264,7 @@ class OsNetwork final : public Network {
   int listen_fd_ = -1;
   std::uint16_t bound_port_ = 0;
   int wake_fds_[2] = {-1, -1};
+  std::atomic<bool> wake_pending_{false};
   std::unique_ptr<Poller> poller_;
   std::thread loop_thread_;
 
@@ -242,12 +274,11 @@ class OsNetwork final : public Network {
   std::unordered_map<std::uint32_t, std::shared_ptr<Conn>> route_by_node_;
   // (deadline, conn) pairs the loop retries when due.
   std::vector<std::pair<util::TimePoint, std::shared_ptr<Conn>>> reconnects_;
-  std::uint64_t recv_seq_ = 0;
   util::Rng reconnect_rng_{0x05ce7ULL};
-  OsNetworkStats os_stats_;
 
-  mutable std::mutex traffic_mutex_;
-  TrafficStats traffic_;
+  std::atomic<std::uint64_t> recv_seq_{0};
+  AtomicOsStats os_stats_;
+  AtomicTraffic traffic_;
 
   Executor exec_;
 };

@@ -210,13 +210,12 @@ TimerId SimNetwork::schedule(NodeId node, util::Duration delay,
   ev.timer_fn = std::move(fn);
   ev.timer_id = next_timer_++;
   const TimerId id{ev.timer_id};
+  pending_timers_.insert(ev.timer_id);
   push_event(std::move(ev));
   return id;
 }
 
-void SimNetwork::cancel(TimerId id) {
-  if (id.value() != 0) cancelled_timers_.insert(id.value());
-}
+void SimNetwork::cancel(TimerId id) { pending_timers_.erase(id.value()); }
 
 const std::string& SimNetwork::node_name(NodeId id) const {
   return nodes_.at(id.value()).name;
@@ -228,12 +227,10 @@ DomainId SimNetwork::node_domain(NodeId id) const {
 
 void SimNetwork::dispatch(Event& ev) {
   if (ev.timer_id != 0) {
-    const auto it = cancelled_timers_.find(ev.timer_id);
-    if (it != cancelled_timers_.end()) {
+    if (pending_timers_.erase(ev.timer_id) == 0) {
       // Cancelled timers are consumed without advancing virtual time, so a
       // far-future cancelled deadline left in the queue cannot drag the
       // clock forward during run_until_idle().
-      cancelled_timers_.erase(it);
       return;
     }
     clock_.advance_to(ev.at);

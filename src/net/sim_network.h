@@ -116,6 +116,10 @@ class SimNetwork final : public Network {
   bool run_until(const std::function<bool()>& pred);
 
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  /// Timers scheduled and neither fired nor cancelled.
+  [[nodiscard]] std::size_t pending_timer_count() const {
+    return pending_timers_.size();
+  }
 
  private:
   struct Event {
@@ -171,7 +175,9 @@ class SimNetwork final : public Network {
   std::priority_queue<EventRef, std::vector<EventRef>, std::greater<>> queue_;
   std::vector<Event> slots_;              // Event bodies, indexed by EventRef
   std::vector<std::uint32_t> free_slots_;  // reusable slot indices
-  std::unordered_set<std::uint64_t> cancelled_timers_;
+  // Ids of timers neither fired nor cancelled; a queued timer event whose
+  // id is gone was cancelled.
+  std::unordered_set<std::uint64_t> pending_timers_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_timer_ = 1;
   TrafficStats traffic_;

@@ -2,6 +2,7 @@
 // the sharded server core (`ctest -L osnet`):
 //  * ordering — each owner runs its messages and tasks in post order, on
 //    its own worker, and on_owner() is scoped to one executor instance;
+//    the after-task hook runs on the worker before the task counts as done;
 //  * lifecycle — stop() lets the running task finish, drops what is queued
 //    and everything posted later, and wait_idle() still returns;
 //  * timer hygiene on both real-time backends — cancel() erases at once,
@@ -23,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -130,6 +132,29 @@ TEST(Executor, NetworkWorkerIsNotAShardExecutorsOwner) {
   EXPECT_TRUE(from_shard.get_future().get());
   shards.stop();
   tnet.stop();
+}
+
+TEST(Executor, AfterTaskHookRunsOnTheWorkerBeforeIdle) {
+  // OsNetwork pays the loop wake a task's later sends deferred in this hook,
+  // so it must run on the worker after each task and before wait_idle() can
+  // return.
+  net::Executor exec;
+  exec.add_owner();
+  exec.add_owner();
+  std::atomic<int> hooks{0};
+  std::atomic<int> off_worker{0};
+  exec.set_after_task([&] {
+    if (!exec.on_worker()) off_worker.fetch_add(1);
+    hooks.fetch_add(1);
+  });
+  exec.start();
+  EXPECT_THROW(exec.set_after_task({}), std::logic_error);
+  for (int i = 0; i < 10; ++i) exec.post(i % 2, [] {});
+  ASSERT_TRUE(exec.wait_idle(util::seconds(5)));
+  EXPECT_EQ(hooks.load(), 10);
+  EXPECT_EQ(off_worker.load(), 0);
+  EXPECT_FALSE(exec.on_worker());  // the test thread is no worker
+  exec.stop();
 }
 
 // -- lifecycle --------------------------------------------------------------

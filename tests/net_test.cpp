@@ -91,6 +91,34 @@ TEST(SimNetworkTest, TimersFireInOrderAndCancel) {
   EXPECT_EQ(fired, (std::vector<int>{1, 2}));
 }
 
+TEST(SimNetworkTest, CancelAfterFireLeavesNothingPending) {
+  // Callers cancel timers that may already have fired (a reply beat its
+  // timeout); no id may outlive its timer for the rest of the run.
+  SimNetwork net;
+  Recorder a;
+  const NodeId na = net.add_node("a", &a);
+  int fired = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const TimerId id =
+        net.schedule(na, util::microseconds(1), [&] { ++fired; });
+    net.run_until_idle();
+    net.cancel(id);
+  }
+  EXPECT_EQ(fired, 10000);
+  EXPECT_EQ(net.pending_timer_count(), 0u);
+
+  // Cancelled before it is due: gone at once, never fires, and skipping its
+  // queued event does not advance virtual time.
+  const util::TimePoint t0 = net.now();
+  const TimerId late = net.schedule(na, util::seconds(60), [&] { ++fired; });
+  EXPECT_EQ(net.pending_timer_count(), 1u);
+  net.cancel(late);
+  EXPECT_EQ(net.pending_timer_count(), 0u);
+  EXPECT_EQ(net.run_until_idle(), 1u);
+  EXPECT_EQ(fired, 10000);
+  EXPECT_EQ(net.now(), t0);
+}
+
 TEST(SimNetworkTest, DeterministicEventOrderAcrossRuns) {
   const auto run = [](std::uint64_t /*seed*/) {
     SimNetwork net;

@@ -8,15 +8,24 @@
 //     partial writev, and the delivered byte sequence must still be
 //     identical to a ThreadNetwork run of the same workload;
 //   * process lifecycle — reconnect after a peer restart, and a typed
-//     (not fatal) startup error when the listen port is taken.
+//     (not fatal) startup error when the listen port is taken;
+//   * the coalesced send path — a worker task's burst costs at most two
+//     loop wakes and a few writevs, and no mix of senders ever strands a
+//     frame.
 // Timer hygiene on both real-time backends lives in executor_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <barrier>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "app/heat2d.h"
@@ -585,6 +594,200 @@ TEST(OsNetworkTest, PollFallbackCarriesTraffic) {
   EXPECT_EQ(got[49].second, bytes_of("poll-fallback 49"));
   a.stop();
   b.stop();
+}
+
+// -- OS transport: the coalesced send path ----------------------------------
+
+// A sink process and a pure-client source process with `sources` local
+// nodes, the source already connected (its hello and one frame are out).
+// Both build the same id space: the sources first, then the sink.
+struct LinkedPair {
+  explicit LinkedPair(std::size_t sources) {
+    for (std::size_t i = 0; i < sources; ++i) {
+      sink_net.add_remote("src" + std::to_string(i), "127.0.0.1", 0);
+    }
+    dst = sink_net.add_node("sink", &sink);
+    EXPECT_TRUE(sink_net.start().ok());
+
+    net::OsNetworkConfig cfg;
+    cfg.listen = false;
+    src_net = std::make_unique<net::OsNetwork>(cfg);
+    for (std::size_t i = 0; i < sources; ++i) {
+      src.push_back(src_net->add_node("src" + std::to_string(i), &null));
+    }
+    src_net->add_remote("sink", "127.0.0.1", sink_net.listen_port());
+    EXPECT_TRUE(src_net->start().ok());
+
+    src_net->send(src[0], dst, net::Channel::control, bytes_of("warm-up"));
+    EXPECT_TRUE(sink.wait_count(1, util::seconds(10)));
+    // The sink can decode a frame before the source counts its writev.
+    EXPECT_TRUE(workload::wait_for(
+        *src_net, [&] { return src_net->os_stats().frames_out >= 2; },
+        util::seconds(10)));
+  }
+  ~LinkedPair() {
+    src_net->stop();
+    sink_net.stop();
+  }
+
+  net::OsNetwork sink_net;
+  CaptureHandler sink;
+  NullHandler null;
+  net::NodeId dst;
+  std::unique_ptr<net::OsNetwork> src_net;
+  std::vector<net::NodeId> src;
+};
+
+TEST(OsNetworkTest, WorkerTaskBurstCostsAtMostTwoWakes) {
+  LinkedPair pair(1);
+  net::OsNetwork& net = *pair.src_net;
+  std::vector<util::Bytes> burst;
+  util::Rng rng(0xB0257ULL);
+  for (int i = 0; i < 200; ++i) {
+    util::Bytes body(1 + rng.next() % 64);
+    for (auto& b : body) b = static_cast<std::uint8_t>(rng.next() & 0xFF);
+    burst.push_back(std::move(body));
+  }
+
+  const net::OsNetworkStats before = net.os_stats();
+  // One task on the source node's worker: the fan-out shape.  Its first
+  // send wakes the loop, the rest owe one more wake at the end of the task,
+  // and each loop pass puts everything queued in one writev (more only if
+  // the kernel pushes back).  Waking per frame would cost 200 pipe writes.
+  net.post(pair.src[0], [&] {
+    for (const auto& body : burst) {
+      net.send(pair.src[0], pair.dst, net::Channel::main_channel, body);
+    }
+  });
+  ASSERT_TRUE(pair.sink.wait_count(1 + burst.size(), util::seconds(10)));
+  ASSERT_TRUE(workload::wait_for(
+      net,
+      [&] {
+        return net.os_stats().frames_out >= before.frames_out + burst.size();
+      },
+      util::seconds(10)));
+  const net::OsNetworkStats after = net.os_stats();
+  EXPECT_GE(after.wakes - before.wakes, 1u);
+  EXPECT_LE(after.wakes - before.wakes, 2u);
+  EXPECT_LE(after.writevs - before.writevs, 4u);
+  EXPECT_EQ(after.frames_out - before.frames_out, burst.size());
+
+  const auto got = pair.sink.snapshot();
+  ASSERT_EQ(got.size(), 1 + burst.size());
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    ASSERT_EQ(got[1 + i].first,
+              static_cast<std::uint32_t>(net::Channel::main_channel));
+    ASSERT_EQ(got[1 + i].second, burst[i]) << "frame " << i;
+  }
+}
+
+TEST(OsNetworkTest, MixedSendersNeverStrandAFrame) {
+  // Lost-wakeup hunt.  Four outside threads, tasks on one node's worker and
+  // a timer chain on another's all send at once, with random yields, in
+  // 200 short rounds of 100 frames; each round must fully arrive before the
+  // next starts.  A wake lost at the end of a round strands its tail until
+  // the loop's 1 s idle heartbeat, so each round gets well under that: one
+  // lost wake fails the test.  All rounds together get at most 10 s.
+  constexpr int kRounds = 200;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 15;
+  constexpr int kTasks = 2;
+  constexpr int kPerTask = 10;
+  constexpr int kTicks = 2;
+  constexpr int kPerTick = 10;
+  constexpr int kPerRound =
+      kThreads * kPerThread + kTasks * kPerTask + kTicks * kPerTick;
+  static_assert(kRounds * kPerRound == 20000);
+  constexpr std::uint32_t kTaskSender = kThreads;
+  constexpr std::uint32_t kTimerSender = kThreads + 1;
+
+  LinkedPair pair(2);
+  net::OsNetwork& net = *pair.src_net;
+  const net::NodeId task_node = pair.src[0];
+  const net::NodeId timer_node = pair.src[1];
+  // Sender s's next sequence number, touched only from sender s's context.
+  std::vector<std::uint32_t> next_seq(kThreads + 2, 0);
+  std::vector<util::Rng> rngs;
+  for (std::uint32_t s = 0; s < kThreads + 2; ++s) rngs.emplace_back(s + 1);
+  auto send_one = [&](net::NodeId from, std::uint32_t sender) {
+    std::uint32_t word[2] = {sender, next_seq[sender]++};
+    util::Bytes body(sizeof(word));
+    std::memcpy(body.data(), word, sizeof(word));
+    net.send(from, pair.dst, net::Channel::main_channel, std::move(body));
+    if (rngs[sender].next() % 4 == 0) std::this_thread::yield();
+  };
+  int ticks_left = 0;  // timer_node's worker only
+  std::function<void()> tick = [&] {
+    for (int i = 0; i < kPerTick; ++i) send_one(timer_node, kTimerSender);
+    if (--ticks_left > 0) {
+      net.schedule(timer_node,
+                   util::microseconds(20 + rngs[kTimerSender].next() % 100),
+                   tick);
+    }
+  };
+
+  // The outside threads start each round together with the test thread and
+  // report back once their share is queued.
+  std::barrier round_start(kThreads + 1);
+  std::barrier round_sent(kThreads + 1);
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        round_start.arrive_and_wait();
+        for (int i = 0; i < kPerThread; ++i) send_one(task_node, t);
+        round_sent.arrive_and_wait();
+      }
+    });
+  }
+  constexpr auto kRoundBudget = std::chrono::milliseconds(400);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool stranded = false;
+  for (int round = 0; round < kRounds; ++round) {
+    net.post(timer_node, [&] {
+      ticks_left = kTicks;
+      tick();
+    });
+    for (int k = 0; k < kTasks; ++k) {
+      net.post(task_node, [&] {
+        for (int i = 0; i < kPerTask; ++i) send_one(task_node, kTaskSender);
+      });
+    }
+    round_start.arrive_and_wait();
+    round_sent.arrive_and_wait();
+    const auto now = std::chrono::steady_clock::now();
+    const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::min(deadline, now + kRoundBudget) - now);
+    if (!stranded &&
+        !pair.sink.wait_count(
+            1 + static_cast<std::size_t>((round + 1) * kPerRound),
+            std::max<util::Duration>(0, left.count()))) {
+      ADD_FAILURE() << "round " << round << " stranded frames";
+      stranded = true;  // let the threads finish their rounds, then fail
+    }
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_FALSE(stranded);
+
+  // In order per sender, each sender's count complete.
+  const auto got = pair.sink.snapshot();
+  ASSERT_EQ(got.size(), 1u + kRounds * kPerRound);
+  std::vector<std::uint32_t> expect(kThreads + 2, 0);
+  for (std::size_t i = 1; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].second.size(), 2 * sizeof(std::uint32_t));
+    std::uint32_t word[2];
+    std::memcpy(word, got[i].second.data(), sizeof(word));
+    ASSERT_LT(word[0], expect.size());
+    ASSERT_EQ(word[1], expect[word[0]]++) << "sender " << word[0];
+  }
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(expect[t], static_cast<std::uint32_t>(kRounds * kPerThread));
+  }
+  EXPECT_EQ(expect[kTaskSender],
+            static_cast<std::uint32_t>(kRounds * kTasks * kPerTask));
+  EXPECT_EQ(expect[kTimerSender],
+            static_cast<std::uint32_t>(kRounds * kTicks * kPerTick));
 }
 
 TEST(OsNetworkTest, RepeatedTimerChainTicks) {
