@@ -116,16 +116,15 @@ BENCHMARK(BM_E2)->Arg(4)->Arg(8)->Arg(16)->Arg(20)->Arg(24)->Arg(32)->Arg(48)
 // Push fan-out on the threaded backend: N push subscribers behind real
 // worker threads, one driver posting chats.  Complements the SimNetwork
 // sweep in bench_e7 — here the shared wire payload is handed to N
-// concurrent inboxes, so the encode-once saving shows up as wall-clock
+// concurrent inboxes, so the encode-once fan-out shows up as wall-clock
 // delivery throughput.  Counting sinks tally deliveries with atomics, so
 // the measurement needs no cross-thread access to server internals.
 // ---------------------------------------------------------------------------
 
 bench::Summary& fanout_summary() {
   static bench::Summary s(
-      "E2 fan-out: push delivery throughput, ThreadNetwork (legacy = "
-      "full-session scan + per-recipient encode)",
-      {"subs", "path", "deliveries_per_s", "delivered", "bytes_rx"});
+      "E2 fan-out: push delivery throughput, ThreadNetwork",
+      {"subs", "deliveries_per_s", "delivered", "bytes_rx"});
   return s;
 }
 
@@ -133,15 +132,12 @@ constexpr int kFanoutChats = 50;
 
 void BM_E2_PushFanout(benchmark::State& state) {
   const int subscribers = static_cast<int>(state.range(0));
-  const bool fast_path = state.range(1) != 0;
   double per_sec = 0;
   std::uint64_t delivered = 0;
   std::uint64_t bytes_rx = 0;
 
   for (auto _ : state) {
-    core::ServerConfig server_cfg;
-    server_cfg.fanout_fast_path = fast_path;
-    workload::ThreadScenario scenario(server_cfg);
+    workload::ThreadScenario scenario;
     auto& server = scenario.add_server("portal");
 
     std::vector<security::AclEntry> acl;
@@ -226,13 +222,13 @@ void BM_E2_PushFanout(benchmark::State& state) {
   state.counters["delivered"] = static_cast<double>(delivered);
   fanout_summary().row(
       {workload::fmt_int(static_cast<std::uint64_t>(subscribers)),
-       fast_path ? "fast" : "legacy", workload::fmt_double(per_sec, 0),
+       workload::fmt_double(per_sec, 0),
        workload::fmt_int(delivered), workload::fmt_int(bytes_rx)});
 }
 BENCHMARK(BM_E2_PushFanout)
-    ->ArgNames({"subs", "fast"})
-    ->Args({8, 0})->Args({8, 1})
-    ->Args({64, 0})->Args({64, 1})
+    ->ArgNames({"subs"})
+    ->Args({8})
+    ->Args({64})
     ->Iterations(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

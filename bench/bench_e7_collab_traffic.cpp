@@ -203,16 +203,15 @@ BENCHMARK(BM_E7)
 
 // ---------------------------------------------------------------------------
 // Fan-out sweep: events/sec and allocations per delivered event as one
-// publish storm fans out to 8/64/512 subscribers, fast path vs legacy scan
-// (ServerConfig::fanout_fast_path).  Push mode measures the encode-once
-// broadcast; poll mode measures the shared-event FIFOs.
+// publish storm fans out to 8/64/512 subscribers through the per-app
+// subscriber index.  Push mode measures the encode-once broadcast; poll
+// mode measures the shared-event FIFOs.
 // ---------------------------------------------------------------------------
 
 bench::Summary& fanout_summary() {
   static bench::Summary s(
-      "Fan-out fast path: one chat event -> N subscribers, single server "
-      "(SimNetwork; legacy = pre-index full scan + per-recipient encode)",
-      {"subs", "mode", "path", "events_per_s", "allocs_per_delivery",
+      "Fan-out: one chat event -> N subscribers, single server (SimNetwork)",
+      {"subs", "mode", "events_per_s", "allocs_per_delivery",
        "alloc_bytes_per_delivery", "delivered"});
   return s;
 }
@@ -226,9 +225,8 @@ struct FanoutResult {
 
 constexpr int kFanoutEvents = 100;
 
-FanoutResult run_fanout(int subscribers, bool push, bool fast_path) {
+FanoutResult run_fanout(int subscribers, bool push) {
   workload::ScenarioConfig cfg;
-  cfg.server_template.fanout_fast_path = fast_path;
   cfg.server_template.client_fifo_cap = 0;  // storm must not drop (poll mode)
   workload::Scenario scenario(cfg);
   auto& server = scenario.add_server("s", 1);
@@ -275,9 +273,8 @@ FanoutResult run_fanout(int subscribers, bool push, bool fast_path) {
   (void)workload::sync_login(scenario.net(), driver);
   (void)workload::sync_select(scenario.net(), driver, app_id);
 
-  // A realistic whiteboard-op payload (a stroke batch, ~1 KiB);
-  // per-recipient serialization cost in the legacy path scales with this,
-  // the shared payload does not.
+  // A realistic whiteboard-op payload (a stroke batch, ~1 KiB), encoded
+  // once and shared by every recipient.
   const std::string text(1024, 'w');
 
   for (auto& sink : sinks) sink->set_counting(true);
@@ -321,10 +318,9 @@ FanoutResult run_fanout(int subscribers, bool push, bool fast_path) {
 void BM_E7_Fanout(benchmark::State& state) {
   const int subscribers = static_cast<int>(state.range(0));
   const bool push = state.range(1) != 0;
-  const bool fast_path = state.range(2) != 0;
   FanoutResult r{};
   for (auto _ : state) {
-    r = run_fanout(subscribers, push, fast_path);
+    r = run_fanout(subscribers, push);
   }
   state.counters["events_per_sec"] = r.events_per_sec;
   state.counters["allocs_per_delivery"] = r.allocs_per_delivery;
@@ -332,20 +328,16 @@ void BM_E7_Fanout(benchmark::State& state) {
   state.counters["delivered"] = static_cast<double>(r.delivered);
   fanout_summary().row(
       {workload::fmt_int(static_cast<std::uint64_t>(subscribers)),
-       push ? "push" : "poll", fast_path ? "fast" : "legacy",
-       workload::fmt_double(r.events_per_sec, 0),
+       push ? "push" : "poll", workload::fmt_double(r.events_per_sec, 0),
        workload::fmt_double(r.allocs_per_delivery, 2),
        workload::fmt_double(r.alloc_bytes_per_delivery, 1),
        workload::fmt_int(r.delivered)});
 }
 BENCHMARK(BM_E7_Fanout)
-    ->ArgNames({"subs", "push", "fast"})
-    ->Args({8, 1, 0})->Args({8, 1, 1})
-    ->Args({8, 0, 0})->Args({8, 0, 1})
-    ->Args({64, 1, 0})->Args({64, 1, 1})
-    ->Args({64, 0, 0})->Args({64, 0, 1})
-    ->Args({512, 1, 0})->Args({512, 1, 1})
-    ->Args({512, 0, 0})->Args({512, 0, 1})
+    ->ArgNames({"subs", "push"})
+    ->Args({8, 1})->Args({8, 0})
+    ->Args({64, 1})->Args({64, 0})
+    ->Args({512, 1})->Args({512, 0})
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace

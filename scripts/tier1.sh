@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite, then the chaos suite again
-# under ThreadSanitizer (the fault-injection paths in ThreadNetwork touch
-# shared state from worker threads; TSan proves the locking), and the
-# OS-socket transport suite under both TSan and AddressSanitizer.
+# Tier-1 verification: full build + test suite, then every suite that
+# starts threads again under ThreadSanitizer (the fault-injection paths,
+# the shard cores, federation, the OS-socket transport and the threaded
+# ThreadNetwork suites touch shared state from worker threads; TSan proves
+# the locking), and the OS-socket transport suite under AddressSanitizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,5 +62,14 @@ echo "== tier 1i: OS-socket transport suite under ASan =="
 cmake -B build-asan -S . -DDISCOVER_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$(nproc)" --target os_network_test executor_test
 (cd build-asan && ctest -L osnet --output-on-failure)
+
+echo "== tier 1j: threaded suites under TSan =="
+# Every other test that starts threads: the unsharded ThreadNetwork server
+# (one worker per node, owner hops as direct calls), the network backends
+# and the threaded workload drivers.  TSan proves the actor discipline
+# holds wherever a test or a driver crosses threads.
+cmake --build build-tsan -j "$(nproc)" \
+  --target integration_thread_test net_test workload_test
+(cd build-tsan && ctest -L threads --output-on-failure)
 
 echo "tier1: all green"

@@ -27,17 +27,18 @@ DiscoverServer::~DiscoverServer() {
 
 void DiscoverServer::attach(net::NodeId self) {
   self_ = self;
-  // Shard resolution (DESIGN.md §5i): a shard_count > 1 turns this
-  // instance into core 0 plus a dispatcher, with shard_count - 1 inner
-  // cores sharing the node id.  Inner cores (group_ already set) skip
-  // this; backends that cannot shard clamp to the unsharded path.
-  if (group_ == nullptr && config_.shard_count > 1) {
-    if (!network_.supports_sharding()) {
+  // Shard resolution (DESIGN.md §5i): every server is a group of cores
+  // sharing one node id, with this user-facing instance as core 0.  A
+  // shard_count > 1 adds a dispatcher and shard_count - 1 inner cores;
+  // otherwise — or on a backend that cannot shard — the group has one core
+  // and no executor.  Inner cores arrive here already configured.
+  if (group_ == nullptr) {
+    group_ = this;
+    if (config_.shard_count > 1 && !network_.supports_sharding()) {
       DISCOVER_LOG(warn, "server")
           << config_.name << ": shard_count=" << config_.shard_count
           << " ignored: network backend is single-threaded per node";
-    } else {
-      group_ = this;
+    } else if (config_.shard_count > 1) {
       group_shards_ = config_.shard_count;
       shard_index_ = 0;
       while ((1u << shard_bits_) < group_shards_) ++shard_bits_;
@@ -60,7 +61,7 @@ void DiscoverServer::attach(net::NodeId self) {
   orb_ = std::make_unique<orb::Orb>(network_, self_);
   orb_->set_retry_policy(config_.orb_retry);
   orb_->set_retry_seed(0x9e37 + self.value());
-  if (group_ != nullptr) {
+  if (sharded()) {
     // Sharded federation (DESIGN.md §5j): tag every id this core's ORB
     // mints with its shard index (the dispatcher routes inbound GIOP by
     // those low bits), run ORB timers on this core's own shard queue, and
@@ -91,6 +92,10 @@ void DiscoverServer::register_metrics() {
   const auto counter = [this](const char* name, const std::uint64_t* v) {
     metrics_.register_counter(name, v);
   };
+  // High-water marks: exposed as counters, merged across cores by max.
+  const auto peak = [this](const char* name, const std::uint64_t* v) {
+    metrics_.register_peak(name, v);
+  };
   counter("logins_ok", &stats_.logins_ok);
   counter("logins_failed", &stats_.logins_failed);
   counter("selects_ok", &stats_.selects_ok);
@@ -106,8 +111,8 @@ void DiscoverServer::register_metrics() {
   counter("overflow_disconnects", &stats_.overflow_disconnects);
   counter("admission_rejected_logins", &stats_.admission_rejected_logins);
   counter("admission_rejected_selects", &stats_.admission_rejected_selects);
-  counter("peak_fifo_backlog", &stats_.peak_fifo_backlog);
-  counter("peak_fifo_backlog_bytes", &stats_.peak_fifo_backlog_bytes);
+  peak("peak_fifo_backlog", &stats_.peak_fifo_backlog);
+  peak("peak_fifo_backlog_bytes", &stats_.peak_fifo_backlog_bytes);
   counter("polls_served", &stats_.polls_served);
   counter("collab_posts", &stats_.collab_posts);
   counter("remote_commands_in", &stats_.remote_commands_in);
@@ -116,7 +121,7 @@ void DiscoverServer::register_metrics() {
   counter("peer_events_out", &stats_.peer_events_out);
   counter("peer_rate_limited", &stats_.peer_rate_limited);
   counter("peer_batches_out", &stats_.peer_batches_out);
-  counter("peer_batch_events_max", &stats_.peer_batch_events_max);
+  peak("peer_batch_events_max", &stats_.peer_batch_events_max);
   counter("flushes_by_count", &stats_.flushes_by_count);
   counter("flushes_by_bytes", &stats_.flushes_by_bytes);
   counter("flushes_by_timer", &stats_.flushes_by_timer);
@@ -569,53 +574,16 @@ void DiscoverServer::deliver_local(const proto::AppId& app,
 
 void DiscoverServer::deliver_local_impl(const proto::AppId& app,
                                         const proto::ClientEvent& ev) {
-  // Sessions whose FIFO overflowed under the disconnect policy; dropped
-  // only after the delivery loop finishes iterating.
-  std::vector<std::uint64_t> overflow_keys;
-  if (!config_.fanout_fast_path) {
-    // Legacy path (pre-index cost model, kept for A/B benchmarking): scan
-    // every session and re-serialize / re-copy the event per recipient.
-    for (auto& [key, session] : sessions_) {
-      const auto it = session.apps.find(app);
-      if (it == session.apps.end()) continue;
-      ClientSub& sub = it->second;
-      if (!should_deliver(session, sub, ev)) continue;
-      if (sub.push) {
-        network_.send(self_, session.client_node, net::Channel::http,
-                      serialize_push_message(ev));
-      } else {
-        fifo_push(sub, std::make_shared<const proto::ClientEvent>(ev));
-        if (fifo_over_limit(sub)) {
-          if (config_.fifo_overflow == FifoOverflowPolicy::shed_oldest) {
-            shed_fifo_overflow(sub);
-          } else {
-            overflow_keys.push_back(key);
-          }
-        }
-      }
-      ++stats_.events_delivered;
-      if ((ev.kind == proto::EventKind::response ||
-           ev.kind == proto::EventKind::error) &&
-          session.user == ev.user) {
-        archive_.log_interaction(session.user, ev);
-      }
-    }
-    // Disconnect-policy enforcement is deferred past the loop: drop_session
-    // mutates sessions_ (and the subscriber index) under our feet.
-    for (const std::uint64_t key : overflow_keys) {
-      ++stats_.overflow_disconnects;
-      drop_session(key);
-    }
-    return;
-  }
-
-  // Fast path: O(subscribers of this app), with all per-event work hoisted
-  // out of the recipient loop and materialized lazily on first use.
+  // O(subscribers of this app), with all per-event work hoisted out of the
+  // recipient loop and materialized lazily on first use.
   const auto idx = subscribers_.find(app);
   if (idx == subscribers_.end()) return;
   net::Payload push_wire;          // encode-once wire bytes (push recipients)
   bool push_encoded = false;
   proto::SharedClientEvent shared;  // one allocation (poll recipients)
+  // Sessions whose FIFO overflowed under the disconnect policy; dropped
+  // only after the loop, since drop_session edits the index it walks.
+  std::vector<std::uint64_t> overflow_keys;
   for (const SubscriberRef& ref : idx->second) {
     ClientSession& session = *ref.session;
     ClientSub& sub = *ref.sub;
@@ -948,51 +916,22 @@ void DiscoverServer::drop_session(std::uint64_t key) {
   ClientSession& session = it->second;
   for (auto& [app_id, sub] : session.apps) {
     fifo_forget(sub);
-    // Release/forget any lock interest, locally or at the remote host
-    // (§5.2.4).
-    AppEntry* entry = find_app(app_id);
-    if (entry != nullptr) {
-      if (entry->local) {
-        locks_.forget(app_id, LockIdentity{session.user, self_.value()});
-      } else {
-        send_forget_locks(app_id, session.user, 1);
-      }
-    } else if (sharded() && shard_owner_of(app_id) != shard_index_) {
-      // The app lives on a sibling core: one hop drops this session's lock
-      // interest and its watcher refcount there.
-      const std::uint32_t owner = shard_owner_of(app_id);
-      const std::uint32_t me = shard_index_;
-      const std::string user = session.user;
-      group_->post_shard(owner, [grp = group_, owner, app_id, user, me] {
-        DiscoverServer& host = grp->core_at(owner);
-        if (AppEntry* owned = host.find_app(app_id);
-            owned != nullptr && !owned->local) {
-          // Remote app on the owning core: the lock interest lives at the
-          // app's host server, not in this node's lock manager.
-          host.send_forget_locks(app_id, user, 1);
-        } else {
-          host.locks_.forget(app_id, LockIdentity{user, host.self_.value()});
-        }
-        host.release_shard_watcher(app_id, me);
+    // Leave the fan-out index first, so nothing more is queued for the
+    // departing session.  The row count is this core's watcher refcount.
+    if (const auto idx = subscribers_.find(app_id); idx != subscribers_.end()) {
+      std::erase_if(idx->second, [key](const SubscriberRef& r) {
+        return r.session_key == key;
       });
+      if (idx->second.empty()) subscribers_.erase(idx);
     }
-    // Drop the session's index rows.  The row count is the local watcher
-    // refcount: when it reaches zero for a remote app, nobody here needs
-    // its event stream any more — unsubscribe at the host in O(1) instead
-    // of the old O(apps x sessions) rescan.
-    const auto idx = subscribers_.find(app_id);
-    if (idx == subscribers_.end()) continue;
-    auto& refs = idx->second;
-    std::erase_if(refs,
-                  [key](const SubscriberRef& r) { return r.session_key == key; });
-    if (refs.empty()) {
-      subscribers_.erase(idx);
-      // Keep the host-side subscription while sibling cores still hold
-      // watchers on this entry (they drop through release_shard_watcher).
-      if (entry != nullptr && !entry->local && entry->watcher_shards.empty()) {
-        unsubscribe_remote(*entry);
-      }
-    }
+    // The app's owner forgets the session's lock interest (§5.2.4) and its
+    // watcher; a remote app nobody watches any more is unsubscribed at its
+    // host.
+    const std::uint32_t owner = shard_owner_of(app_id);
+    post_shard(owner, [group = group_, owner, app_id, user = session.user,
+                       me = shard_index_] {
+      group->core_at(owner).release_watcher(app_id, user, me);
+    });
   }
   sessions_.erase(it);
 }

@@ -133,7 +133,7 @@ struct ServerConfig {
   /// peer_batch_max_bytes, or peer_flush_delay elapses since the first
   /// queued event (Nagle).  A zero delay disables the outbox entirely and
   /// reproduces the legacy one-ORB-call-per-event wire behaviour — kept
-  /// for A/B, mirroring fanout_fast_path.
+  /// as the per-event baseline of the peer-batching experiment (A4).
   util::Duration peer_flush_delay = util::milliseconds(5);
   std::size_t peer_batch_max_events = 64;
   std::size_t peer_batch_max_bytes = 48 * 1024;
@@ -164,13 +164,6 @@ struct ServerConfig {
 
   /// Share command responses with the requester's collaboration (sub)group.
   bool broadcast_responses = true;
-
-  /// Fan-out fast path (see DESIGN.md "Fan-out fast path"): deliver events
-  /// through the per-app subscriber index with one serialization per event
-  /// and shared event instances in the poll FIFOs.  When false,
-  /// deliver_local falls back to the legacy full-session scan with
-  /// per-recipient encoding — kept for A/B benchmarking of the fast path.
-  bool fanout_fast_path = true;
 
   /// Application liveness: a local application is force-deregistered when
   /// no Main/Response-channel traffic arrives for `app_liveness_factor`
@@ -250,8 +243,9 @@ struct ServerConfig {
   /// paths (deliver_local, FIFO drains, lock operations) execute with no
   /// shared locks; cross-core interactions are explicit queue hops.  Only
   /// honoured on backends whose supports_sharding() is true (ThreadNetwork)
-  /// — the Sim backend clamps to 1 so deterministic suites are unaffected —
-  /// and shard_count = 1 is exactly the unsharded code path.  Federation
+  /// — the Sim backend clamps to 1 so deterministic suites are unaffected.
+  /// An unsharded server is a group of one core running the same code,
+  /// where every hop to the owning core is a direct call.  Federation
   /// composes with sharding (DESIGN.md §5j): every core runs its own ORB
   /// with shard-tagged servant keys / request ids and its own per-peer
   /// outboxes, the dispatcher routes inbound GIOP frames to the owning
@@ -664,30 +658,63 @@ class DiscoverServer final : public net::MessageHandler {
   /// framing and unparseable GIOP to core 0.  The message lands in the
   /// owning core's executor queue and reaches that core's on_message.
   void route_message(const net::Message& msg);
-  /// The pre-shard on_message body; on a sharded server it runs on the
+  /// The per-core on_message body; on a sharded server it runs on the
   /// owning core's shard worker.
   void dispatch_message(const net::Message& msg);
   /// The calibration burn behind servlet_cpu_cost / app_event_cpu_cost:
   /// busy-spins for `cost` on the calling worker.
   static void spin_for(util::Duration cost);
-  /// Runs `fn` in shard `idx`'s execution context (inline when unsharded
-  /// or already on that shard's worker).
+
+  // The hops between cores (server_shard.cpp).  Each one is a direct call
+  // when the target is the calling core — always, on a group of one — and
+  // a queue hop onto the target core's worker otherwise.
+  /// Runs `fn` in core `idx`'s execution context.
   void post_shard(std::uint32_t idx, std::function<void()> fn);
+  /// Runs `fn` on every core, each on its own worker.
+  void for_each_core(const std::function<void(DiscoverServer&)>& fn);
   [[nodiscard]] DiscoverServer& core_at(std::uint32_t idx) {
     return idx == 0 ? *this : *cores_[idx - 1];
   }
-  /// The shard core owning app `id` (self when unsharded).
+  /// The core owning app `id`: the one that minted it for a local app, the
+  /// one its id hashes to for a remote app.
   [[nodiscard]] std::uint32_t shard_owner_of(const proto::AppId& id) const {
-    return sharded() ? shard_of_app(id, shard_bits_, group_shards_)
-                     : shard_index_;
+    return shard_of_app(id, shard_bits_, group_shards_);
   }
-  /// network_.schedule(self_, ...) whose callback hops back onto this
-  /// core's shard worker (plain schedule when unsharded).  Every timer
-  /// touching core state must go through this.
+  /// The one owner hop behind every app-scoped request: runs `work` on the
+  /// core owning `app`, lets it answer once — possibly after a peer round
+  /// trip — and runs `then` with the answer back on the calling core.
+  template <typename T>
+  void ask_owner(
+      const proto::AppId& app,
+      std::function<void(DiscoverServer&, std::function<void(T)>)> work,
+      std::function<void(T)> then) {
+    DiscoverServer* group = group_;
+    const std::uint32_t owner = shard_owner_of(app);
+    const std::uint32_t me = shard_index_;
+    post_shard(owner, [group, owner, me, work = std::move(work),
+                       then = std::move(then)] {
+      work(group->core_at(owner), [group, me, then](T answer) {
+        group->post_shard(me, [then, answer = std::move(answer)] {
+          then(answer);
+        });
+      });
+    });
+  }
+  /// Serves an app-scoped HTTP request through ask_owner: `work` builds
+  /// the reply on the owning core, and this core sends it — inline when it
+  /// is ready before service() returns.
+  void reply_from_owner(
+      const proto::AppId& app, http::HttpResponse& response,
+      http::ServletContext& ctx,
+      std::function<void(DiscoverServer&,
+                         std::function<void(http::HttpResponse)>)>
+          work);
+  /// network_.schedule(self_, ...) whose callback runs on this core's
+  /// worker.  Every timer touching core state must go through this.
   net::TimerId schedule_self(util::Duration delay, std::function<void()> fn);
-  /// Visits every core on its own shard worker in index order, then runs
-  /// `done` back on the calling core (used by login and the metrics/trace
-  /// scrapes).  Sharded servers only.
+  /// Visits every core on its own worker in index order, then runs `done`
+  /// back on the calling core (login, the directory servants, the
+  /// metrics/trace scrapes and the monitoring push).
   struct GatherJob {
     std::function<void(DiscoverServer&)> visit;
     std::function<void()> done;
@@ -696,31 +723,36 @@ class DiscoverServer final : public net::MessageHandler {
   void gather_across_cores(std::function<void(DiscoverServer&)> visit,
                            std::function<void()> done);
   void gather_step(const std::shared_ptr<GatherJob>& job, std::uint32_t idx);
-  /// Owner-core half of a cross-shard select: ACL/phase/admission check
-  /// plus watcher-refcount bump for the client's shard.
-  struct ShardSelectGrant {
+  /// What the owner core tells the client core about a select.
+  struct SelectGrant {
     bool found = false;
     bool admission_rejected = false;
     security::Privilege privilege = security::Privilege::none;
     std::string name;
     std::vector<proto::ParamSpec> params;
     std::uint64_t history_seq = 0;
+    /// The host's refusal, when a remote level-2 check failed.
+    std::string error;
   };
-  ShardSelectGrant grant_select_on_owner(const proto::AppId& app,
-                                         const std::string& user,
-                                         std::uint32_t client_shard,
-                                         bool already_selected);
-  /// Async owner-core half of a cross-shard select that also covers REMOTE
-  /// applications: resolves the entry via with_remote_app, fetches the
-  /// interface from the host and subscribes, then hands the grant to
-  /// `done` (still on the owner core — the caller posts it back).  Local
-  /// entries complete inline through grant_select_on_owner.
-  void select_on_owner_async(const proto::AppId& app, const std::string& user,
-                             std::uint32_t client_shard, bool already_selected,
-                             std::function<void(ShardSelectGrant)> done);
-  /// Owner-core watcher-refcount drop (client core released a sub).  For a
-  /// remote entry whose last watcher left, this also drops the host-side
-  /// subscription.
+  /// Owner-core half of a select (§5.2.2): resolves the entry (a remote
+  /// one through the naming service), admits and authenticates the user —
+  /// at the host through its CorbaProxy for a remote app, which this core
+  /// then subscribes to — and counts the client core's new watcher.
+  void select_on_owner(const proto::AppId& app, const std::string& user,
+                       std::uint32_t client_shard, bool already_selected,
+                       std::function<void(SelectGrant)> done);
+  /// Per-app admission (§6.2 flash crowds): false when `app` is full and
+  /// the session is a new subscriber.
+  [[nodiscard]] bool admits(const proto::AppId& app,
+                            bool already_selected) const;
+  /// Owner-core half of drop_session: forgets `user`'s lock interest
+  /// (locally, or at the remote host) and releases the client core's
+  /// watcher.
+  void release_watcher(const proto::AppId& app, const std::string& user,
+                       std::uint32_t client_shard);
+  /// Drops one watcher of `client_shard` (other cores only; this core's
+  /// sessions are counted by the subscriber index).  A remote entry nobody
+  /// on any core watches any more unsubscribes from its host.
   void release_shard_watcher(const proto::AppId& app,
                              std::uint32_t client_shard);
   /// Watchers for per-app admission: local subscriber index rows plus
@@ -777,10 +809,10 @@ class DiscoverServer final : public net::MessageHandler {
   /// the outbox when batching is on and the host's level-1 ref is known,
   /// else a direct forward_collab (the legacy wire behaviour).
   void relay_collab_to_host(AppEntry& entry, const proto::ClientEvent& ev);
-  /// forward_events servant body.  A sharded receiver scatters the frames
-  /// to their owning cores by shard_of_app (a peer batch mixes apps owned
-  /// by different cores); each core then applies its own frames.
-  void ingest_event_frames(const std::vector<proto::EventFrame>& frames);
+  /// forward_events servant body: scatters the frames to their owning
+  /// cores by shard_of_app (a peer batch mixes apps owned by different
+  /// cores); each core then applies its own frames.
+  void ingest_event_frames(std::vector<proto::EventFrame> frames);
   /// Applies push frames to remote entries and publishes collab_relay
   /// frames for local apps — every frame must be owned by this core.
   void apply_event_frames(const std::vector<proto::EventFrame>& frames);
@@ -857,40 +889,36 @@ class DiscoverServer final : public net::MessageHandler {
   void invoke_peer(std::uint32_t node, const orb::ObjectRef& ref,
                    const std::string& method, wire::Encoder args,
                    orb::Orb::ResultCallback cb, util::Duration timeout);
-  /// Records one call outcome; `timed_out` failures accumulate toward
-  /// suspicion, any response (even an error) proves liveness and heals.
+  /// Records one call outcome on core 0, which judges peer health for the
+  /// node: `timed_out` failures accumulate toward suspicion, any response
+  /// (even an error) proves liveness and heals.
   void note_peer_call(std::uint32_t node, bool timed_out);
-  /// Withdraws the peer's apps from the directory, emits a control-channel
-  /// error event, and stops routing to it until a re-probe succeeds.
+  void judge_peer_call(std::uint32_t node, bool timed_out);
+  // Sharded federation (DESIGN.md §5j): peer discovery and health are
+  // decided on core 0; every core holds its own copy of each peer (ref,
+  // limiter, suspect flag) so it can reach every peer through its own ORB.
+  /// Core 0: adds a newly discovered peer on every core.
+  void add_peer(std::uint32_t node, const std::string& name,
+                const orb::ObjectRef& ref);
+  /// Core 0: marks the peer suspect, then every core withdraws its share
+  /// of the peer's apps; routing stops until a re-probe succeeds.
   void mark_peer_suspect(Peer& peer);
+  /// Core 0: the peer answered again; every core resumes routing to it.
+  void heal_peer(Peer& peer, const char* how);
   void probe_suspect_peer(Peer& peer);
-  /// Shared tail of a server_down notice: forgets the peer and withdraws
-  /// every remote app hosted there (each sharded core runs its own copy).
+  /// One core's half of a suspect transition: flags the peer, withdraws
+  /// the remote apps this core owns, reaps their lock interest.  The core
+  /// that `announce`s also tells the other servers, once for the node.
+  void apply_peer_suspect(std::uint32_t node, bool announce);
+  /// One core's half of a heal: clears the flag, drains the outbox.
+  void apply_peer_heal(std::uint32_t node);
+  /// One core's half of a server_down notice: forgets the peer and
+  /// withdraws the remote apps this core owns there.
   void handle_peer_down(std::uint32_t origin);
-  /// Encodes and pushes one MONITORING report, then reschedules.  The
-  /// metrics map is this core's flat snapshot — or, sharded, the merge of
-  /// every core's.
+  /// Encodes and pushes one MONITORING report (the merge of every core's
+  /// metrics snapshot), then reschedules.
   void send_monitoring_report(std::map<std::string, std::int64_t> metrics,
                               std::function<void()> reschedule);
-  // Sharded federation (DESIGN.md §5j): peer discovery and health live on
-  // core 0; the entries (ref + per-core limiter + suspect flag) are
-  // replicated so every core can reach every peer through its own ORB.
-  /// Core 0: copies a newly discovered peer to every other core.
-  void replicate_peer_to_cores(const Peer& peer);
-  /// Core 0: pushes a suspect/heal transition to every other core.
-  void broadcast_peer_state_to_cores(std::uint32_t node, bool suspect);
-  /// Any core: local half of a suspect transition — flags the peer,
-  /// withdraws its remote apps, reaps its lock interest.  No control
-  /// broadcast (core 0 already did that once for the node).
-  void apply_peer_suspect(std::uint32_t node);
-  /// Any core: local half of a heal — clears the flag, drains the outbox.
-  void apply_peer_heal(std::uint32_t node);
-  /// Per-core halves of the sharded registry/identity wiring.
-  void set_registry_core(const orb::ObjectRef& naming,
-                         const orb::ObjectRef& trader, bool with_trader);
-  /// Core 0: copies the refreshed identity cache to every other core (each
-  /// core authenticates login gathers against its own copy).
-  void replicate_identities_to_cores();
   /// Ensures a remote AppEntry exists with a resolved CorbaProxy ref; then
   /// runs `ready` (with nullptr on failure).
   void with_remote_app(const proto::AppId& app,
@@ -902,10 +930,11 @@ class DiscoverServer final : public net::MessageHandler {
   void remove_remote_app(const proto::AppId& app, const std::string& reason);
 
   // -- housekeeping -----------------------------------------------------------
-  /// Per-core halves of start()/shutdown(); on a sharded server they run
-  /// on each core's own shard worker.
+  /// Per-core halves of start()/shutdown(), run on each core's own worker.
+  /// Only the core that says `farewell` announces server_down, once for
+  /// the node.
   void start_core();
-  void shutdown_core();
+  void shutdown_core(bool farewell);
   void sweep_app_liveness();
   void sweep_idle_sessions();
   void arm_lock_lease(const proto::AppId& app, const LockIdentity& who);
@@ -965,8 +994,8 @@ class DiscoverServer final : public net::MessageHandler {
   bool started_ = false;
 
   // Sharding (DESIGN.md §5i).  group_ points at core 0 (the user-facing
-  // instance) and is null until attach() resolves an effective shard count
-  // > 1; the unsharded server never touches any of this.
+  // instance) from attach() on; an unsharded server is a group of one
+  // (group_ == this, no pool_).
   DiscoverServer* group_ = nullptr;
   std::uint32_t shard_index_ = 0;
   std::uint32_t shard_bits_ = 0;

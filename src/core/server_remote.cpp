@@ -18,6 +18,13 @@ void encode_app_info_seq(wire::Encoder& e,
   for (const auto& a : apps) proto::encode(e, a);
 }
 
+void sort_by_id(std::vector<proto::AppInfo>& apps) {
+  std::sort(apps.begin(), apps.end(),
+            [](const proto::AppInfo& a, const proto::AppInfo& b) {
+              return a.id < b.id;
+            });
+}
+
 void encode_event_seq(wire::Encoder& e,
                       const std::vector<proto::ClientEvent>& events) {
   e.u32(static_cast<std::uint32_t>(events.size()));
@@ -73,114 +80,73 @@ class DiscoverServer::DiscoverCorbaServerServant final : public orb::Servant {
     if (method == "authenticate") {
       // Cross-server level-1 authentication: checks the user against local
       // application ACLs and returns the applications they may access
-      // (paper §5.2.2).  A sharded node answers for every core: apps and
-      // sessions are striped, so the reply is a cross-core gather (the
-      // deferred handle completes on this core, which owns the ORB reply).
+      // (paper §5.2.2).  Apps are striped across cores, so the answer is a
+      // gather; its reply goes out from this core, which owns the ORB
+      // request.
       const std::string user = args.str();
       const std::uint64_t pw = args.u64();
-      if (s.sharded()) {
-        auto ok_any = std::make_shared<bool>(false);
-        auto apps = std::make_shared<std::vector<proto::AppInfo>>();
-        const auto deferred = ctx.defer();
-        s.gather_across_cores(
-            [user, pw, ok_any, apps](DiscoverServer& core) {
-              if (core.authenticate_local(user, pw)) *ok_any = true;
-              for (auto& info : core.visible_apps(user)) {
-                apps->push_back(std::move(info));
-              }
-            },
-            [ok_any, apps, deferred] {
-              std::sort(apps->begin(), apps->end(),
-                        [](const proto::AppInfo& a, const proto::AppInfo& b) {
-                          return a.id < b.id;
-                        });
-              wire::Encoder reply;
-              reply.boolean(*ok_any);
-              encode_app_info_seq(reply, *ok_any
-                                             ? *apps
-                                             : std::vector<proto::AppInfo>{});
-              deferred->reply(std::move(reply));
-            });
-        return;
-      }
-      const bool ok = s.authenticate_local(user, pw);
-      out.boolean(ok);
-      encode_app_info_seq(out, ok ? s.visible_apps(user)
-                                  : std::vector<proto::AppInfo>{});
+      auto ok_any = std::make_shared<bool>(false);
+      auto apps = std::make_shared<std::vector<proto::AppInfo>>();
+      const auto deferred = ctx.defer();
+      s.gather_across_cores(
+          [user, pw, ok_any, apps](DiscoverServer& core) {
+            if (core.authenticate_local(user, pw)) *ok_any = true;
+            for (auto& info : core.visible_apps(user)) {
+              apps->push_back(std::move(info));
+            }
+          },
+          [ok_any, apps, deferred] {
+            sort_by_id(*apps);
+            wire::Encoder reply;
+            reply.boolean(*ok_any);
+            encode_app_info_seq(
+                reply, *ok_any ? *apps : std::vector<proto::AppInfo>{});
+            deferred->reply(std::move(reply));
+          });
     } else if (method == "list_users") {
-      if (s.sharded()) {
-        auto users = std::make_shared<std::vector<std::string>>();
-        const auto deferred = ctx.defer();
-        s.gather_across_cores(
-            [users](DiscoverServer& core) {
-              for (const auto& [_, session] : core.sessions_) {
-                users->push_back(session.user);
-              }
-            },
-            [users, deferred] {
-              std::sort(users->begin(), users->end());
-              wire::Encoder reply;
-              reply.u32(static_cast<std::uint32_t>(users->size()));
-              for (const auto& u : *users) reply.str(u);
-              deferred->reply(std::move(reply));
-            });
-        return;
-      }
-      std::vector<std::string> users;
-      for (const auto& [_, session] : s.sessions_) {
-        users.push_back(session.user);
-      }
-      out.u32(static_cast<std::uint32_t>(users.size()));
-      for (const auto& u : users) out.str(u);
+      auto users = std::make_shared<std::vector<std::string>>();
+      const auto deferred = ctx.defer();
+      s.gather_across_cores(
+          [users](DiscoverServer& core) {
+            for (const auto& [_, session] : core.sessions_) {
+              users->push_back(session.user);
+            }
+          },
+          [users, deferred] {
+            wire::Encoder reply;
+            reply.u32(static_cast<std::uint32_t>(users->size()));
+            for (const auto& u : *users) reply.str(u);
+            deferred->reply(std::move(reply));
+          });
     } else if (method == "list_services") {
-      if (s.sharded()) {
-        auto apps = std::make_shared<std::vector<proto::AppInfo>>();
-        const auto deferred = ctx.defer();
-        s.gather_across_cores(
-            [apps](DiscoverServer& core) {
-              for (const auto& [id, entry] : core.apps_) {
-                if (entry.local) apps->push_back(core.app_info_of(entry));
-              }
-            },
-            [apps, deferred] {
-              std::sort(apps->begin(), apps->end(),
-                        [](const proto::AppInfo& a, const proto::AppInfo& b) {
-                          return a.id < b.id;
-                        });
-              wire::Encoder reply;
-              encode_app_info_seq(reply, *apps);
-              deferred->reply(std::move(reply));
-            });
-        return;
-      }
-      std::vector<proto::AppInfo> apps;
-      for (const auto& [id, entry] : s.apps_) {
-        if (!entry.local) continue;
-        apps.push_back(s.app_info_of(entry));
-      }
-      encode_app_info_seq(out, apps);
+      auto apps = std::make_shared<std::vector<proto::AppInfo>>();
+      const auto deferred = ctx.defer();
+      s.gather_across_cores(
+          [apps](DiscoverServer& core) {
+            for (const auto& [id, entry] : core.apps_) {
+              if (entry.local) apps->push_back(core.app_info_of(entry));
+            }
+          },
+          [apps, deferred] {
+            sort_by_id(*apps);
+            wire::Encoder reply;
+            encode_app_info_seq(reply, *apps);
+            deferred->reply(std::move(reply));
+          });
     } else if (method == "forward_event") {
       // Push-mode delivery from an application's host server in the
-      // peer_flush_delay==0 legacy wire format (one event per call).  On a
-      // sharded receiver the remote entry lives on shard_of_app's core;
-      // hop there.
+      // peer_flush_delay==0 legacy wire format (one event per call).  The
+      // remote entry lives on shard_of_app's core.
       const proto::AppId app = proto::decode_app_id(args);
-      const auto events = decode_event_seq(args);
+      auto events = decode_event_seq(args);
       const std::uint32_t owner = s.shard_owner_of(app);
-      if (s.sharded() && owner != s.shard_index_) {
-        DiscoverServer* core = &s.group_->core_at(owner);
-        s.group_->pool_->post(owner, [core, app, events] {
-          AppEntry* entry = core->find_app(app);
-          if (entry != nullptr && !entry->local) {
-            core->ingest_remote_events(*entry, events);
-          }
-        });
-      } else {
-        AppEntry* entry = s.find_app(app);
+      DiscoverServer* core = &s.group_->core_at(owner);
+      s.post_shard(owner, [core, app, events = std::move(events)] {
+        AppEntry* entry = core->find_app(app);
         if (entry != nullptr && !entry->local) {
-          s.ingest_remote_events(*entry, events);
+          core->ingest_remote_events(*entry, events);
         }
-      }
+      });
     } else if (method == "forward_events") {
       // Batched peer outbox flush: push frames for apps hosted at the
       // caller plus collab posts relayed toward apps hosted here.
@@ -202,7 +168,6 @@ class DiscoverServer::DiscoverCorbaServerServant final : public orb::Servant {
       throw orb::OrbException{util::Errc::invalid_argument,
                               "DiscoverCorbaServer has no method " + method};
     }
-    (void)ctx;
   }
 
  private:
@@ -318,58 +283,35 @@ orb::ObjectRef DiscoverServer::activate_corba_proxy(AppEntry& entry) {
 
 void DiscoverServer::set_registry(orb::ObjectRef naming,
                                   orb::ObjectRef trader) {
-  if (pool_) {
-    // Sharded federation (DESIGN.md §5j): called from outside the shard
-    // workers (attach() already started them), so distribute the refs
-    // through the shard queues and let each core configure its own ORB
-    // clients in its own context.  Every core gets the naming service —
-    // app rebinds and remote resolves happen on the owning core — while
-    // trader discovery, export and monitoring stay on core 0, the
-    // federation coordinator.
-    for (std::uint32_t i = 0; i < group_shards_; ++i) {
-      DiscoverServer* core = &core_at(i);
-      pool_->post(i, [core, naming, trader] {
-        core->set_registry_core(naming, trader, core->shard_index_ == 0);
-      });
-    }
-    return;
-  }
-  set_registry_core(naming, trader, true);
-}
-
-void DiscoverServer::set_registry_core(const orb::ObjectRef& naming,
-                                       const orb::ObjectRef& trader,
-                                       bool with_trader) {
-  naming_ = orb::NamingClient(*orb_, naming);
-  // Registry calls must not wait forever: a lost reply on a faulty link
-  // would otherwise wedge the refresh loop (its reschedule lives in the
-  // query callback).  With a deadline the loop self-heals, and the ORB
-  // retry policy (if enabled) rides each call through transient loss.
-  naming_.set_call_timeout(config_.orb_call_timeout);
-  if (with_trader) {
+  // Sharded federation (DESIGN.md §5j): every core gets the naming service
+  // — app rebinds and remote resolves happen on the owning core — while
+  // trader discovery, export and monitoring stay on core 0, the federation
+  // coordinator.  Registry calls must not wait forever: a lost reply on a
+  // faulty link would otherwise wedge the refresh loop (its reschedule
+  // lives in the query callback).  With a deadline the loop self-heals, and
+  // the ORB retry policy (if enabled) rides each call through transient
+  // loss.
+  for_each_core([naming](DiscoverServer& core) {
+    core.naming_ = orb::NamingClient(*core.orb_, naming);
+    core.naming_.set_call_timeout(core.config_.orb_call_timeout);
+  });
+  post_shard(0, [this, trader] {
     trader_ = orb::TraderClient(*orb_, trader);
     trader_.set_call_timeout(config_.orb_call_timeout);
-  }
+  });
 }
 
 void DiscoverServer::start() {
   if (started_) return;
   started_ = true;
-  if (pool_) {
-    // Each core starts its own sweeps — and its own half of federation —
-    // on its own shard worker.  Core 0 owns trader export/refresh, the
-    // identity pull and monitoring; the other cores' trader_ /
-    // identity_directory_ are unset, so those branches no-op there.
-    for (std::uint32_t i = 0; i < group_shards_; ++i) {
-      DiscoverServer* core = &core_at(i);
-      pool_->post(i, [core] {
-        core->started_ = true;
-        core->start_core();
-      });
-    }
-    return;
-  }
-  start_core();
+  // Each core starts its own sweeps — and its own half of federation — on
+  // its own worker.  Core 0 owns trader export/refresh, the identity pull
+  // and monitoring; the other cores' trader_ / identity_directory_ are
+  // unset, so those branches no-op there.
+  for_each_core([](DiscoverServer& core) {
+    core.started_ = true;
+    core.start_core();
+  });
 }
 
 void DiscoverServer::start_core() {
@@ -399,30 +341,23 @@ void DiscoverServer::export_trader_offer() {
 void DiscoverServer::shutdown() {
   if (!started_) return;
   started_ = false;
-  if (pool_) {
-    for (std::uint32_t i = 0; i < group_shards_; ++i) {
-      DiscoverServer* core = &core_at(i);
-      pool_->post(i, [core] {
-        core->started_ = false;
-        core->shutdown_core();
-      });
-    }
-    drain_shards();
-    return;
-  }
-  shutdown_core();
+  // Peers are known to every core, so only core 0 (this instance) says
+  // goodbye — once for the node.
+  for_each_core([this](DiscoverServer& core) {
+    core.started_ = false;
+    core.shutdown_core(/*farewell=*/&core == this);
+  });
+  drain_shards();
 }
 
-void DiscoverServer::shutdown_core() {
+void DiscoverServer::shutdown_core(bool farewell) {
   if (refresh_timer_.value() != 0) network_.cancel(refresh_timer_);
   if (liveness_timer_.value() != 0) network_.cancel(liveness_timer_);
   if (session_timer_.value() != 0) network_.cancel(session_timer_);
   if (monitor_timer_.value() != 0) network_.cancel(monitor_timer_);
   if (identity_timer_.value() != 0) network_.cancel(identity_timer_);
   flush_all_outboxes();
-  // Peers are replicated to every core, so gate the farewell on core 0 or
-  // each peer would hear it shard_count times.
-  if (shard_index_ == 0) {
+  if (farewell) {
     broadcast_system_event(proto::SystemEventKind::server_down,
                            proto::AppId{}, config_.name + " shutting down");
   }
@@ -453,21 +388,17 @@ void DiscoverServer::refresh_peers() {
           for (const auto& offer : r.value()) {
             if (offer.ref.node == self_.value()) continue;
             if (peers_.count(offer.ref.node) != 0) continue;
-            Peer peer;
-            peer.node = offer.ref.node;
-            const auto name = offer.properties.find("name");
-            peer.name = name != offer.properties.end() ? name->second
-                                                       : "server";
-            peer.server_ref = offer.ref;
-            peer.limiter = std::make_unique<security::RateLimiter>(
-                config_.peer_policy);
+            const auto name_prop = offer.properties.find("name");
+            const std::string name = name_prop != offer.properties.end()
+                                         ? name_prop->second
+                                         : "server";
             DISCOVER_LOG(info, "server")
-                << describe() << ": discovered peer " << peer.name << "@"
-                << peer.node;
-            const auto [it, inserted] =
-                peers_.emplace(offer.ref.node, std::move(peer));
-            peer_count_cache_.store(peers_.size(), std::memory_order_relaxed);
-            if (inserted) replicate_peer_to_cores(it->second);
+                << describe() << ": discovered peer " << name << "@"
+                << offer.ref.node;
+            for_each_core([node = offer.ref.node, name,
+                           ref = offer.ref](DiscoverServer& core) {
+              core.add_peer(node, name, ref);
+            });
           }
         }
         // Re-probe suspect peers each refresh round; a successful ping
@@ -485,18 +416,12 @@ void DiscoverServer::refresh_peers() {
 }
 
 void DiscoverServer::set_identity_directory(orb::ObjectRef directory) {
-  if (pool_) {
-    // Core 0 owns the refresh loop; it replicates the cache to the other
-    // cores after each pull (replicate_identities_to_cores).
-    DiscoverServer* core0 = this;
-    pool_->post(0, [core0, directory] {
-      core0->identity_directory_ = directory;
-      if (core0->started_) core0->refresh_identities();
-    });
-    return;
-  }
-  identity_directory_ = std::move(directory);
-  if (started_) refresh_identities();
+  // Core 0 owns the refresh loop; each pull updates every core's cache
+  // (every core authenticates its share of a login gather).
+  post_shard(0, [this, directory] {
+    identity_directory_ = directory;
+    if (started_) refresh_identities();
+  });
 }
 
 void DiscoverServer::refresh_identities() {
@@ -507,10 +432,12 @@ void DiscoverServer::refresh_identities() {
         if (r.ok()) {
           try {
             wire::Decoder d(r.value());
-            identity_cache_ = d.map<std::string, std::uint64_t>(
+            const auto cache = d.map<std::string, std::uint64_t>(
                 [](wire::Decoder& dd) { return dd.str(); },
                 [](wire::Decoder& dd) { return dd.u64(); });
-            replicate_identities_to_cores();
+            for_each_core([cache](DiscoverServer& core) {
+              core.identity_cache_ = cache;
+            });
           } catch (const wire::DecodeError&) {
             // Keep the stale cache on malformed replies.
           }
@@ -540,25 +467,20 @@ void DiscoverServer::report_monitoring() {
         });
     return;
   }
-  if (sharded()) {
-    // One report for the whole node: gather each core's snapshot on its
-    // own thread, merge, and push from core 0 — the same union the
-    // /discover/metrics scrape serves.
-    auto snaps =
-        std::make_shared<std::vector<util::MetricsRegistry::Snapshot>>();
-    gather_across_cores(
-        [snaps](DiscoverServer& core) {
-          snaps->push_back(core.metrics_.snapshot());
-        },
-        [this, snaps, reschedule] {
-          send_monitoring_report(
-              util::MetricsRegistry::monitoring_map(
-                  util::MetricsRegistry::merge(*snaps)),
-              reschedule);
-        });
-    return;
-  }
-  send_monitoring_report(metrics_.monitoring_map(), reschedule);
+  // One report for the whole node: gather each core's snapshot on its own
+  // thread, merge, and push from core 0 — the same union the
+  // /discover/metrics scrape serves.
+  auto snaps =
+      std::make_shared<std::vector<util::MetricsRegistry::Snapshot>>();
+  gather_across_cores(
+      [snaps](DiscoverServer& core) {
+        snaps->push_back(core.metrics_.snapshot());
+      },
+      [this, snaps, reschedule] {
+        send_monitoring_report(util::MetricsRegistry::monitoring_map(
+                                   util::MetricsRegistry::merge(*snaps)),
+                               reschedule);
+      });
 }
 
 void DiscoverServer::send_monitoring_report(
@@ -569,8 +491,8 @@ void DiscoverServer::send_monitoring_report(
   // The report is the registry's flat snapshot — every counter, gauge and
   // histogram summary registered in register_metrics() — plus legacy key
   // aliases older MONITORING consumers pin.  The aliases read from the
-  // (possibly merged) map rather than this core's stats_ so a sharded
-  // node reports node-wide totals.
+  // merged map rather than this core's stats_ so a sharded node reports
+  // node-wide totals.
   metrics["updates"] = metrics["updates_processed"];
   metrics["commands"] = metrics["commands_accepted"];
   metrics["events_shed"] = metrics["events_dropped"];
@@ -640,29 +562,21 @@ void DiscoverServer::invoke_peer(std::uint32_t node,
 }
 
 void DiscoverServer::note_peer_call(std::uint32_t node, bool timed_out) {
-  if (sharded() && shard_index_ != 0) {
-    // Health is adjudicated on core 0 — one failure counter per peer, not
-    // shard_count divergent ones.  Transitions come back through
-    // broadcast_peer_state_to_cores.
-    DiscoverServer* group = group_;
-    group_->post_shard(0, [group, node, timed_out] {
-      group->note_peer_call(node, timed_out);
-    });
-    return;
-  }
+  // Health is judged on core 0 — one failure counter per peer, not
+  // shard_count divergent ones.
+  DiscoverServer* group = group_;
+  post_shard(0, [group, node, timed_out] {
+    group->judge_peer_call(node, timed_out);
+  });
+}
+
+void DiscoverServer::judge_peer_call(std::uint32_t node, bool timed_out) {
   Peer* peer = peer_by_node(node);
   if (peer == nullptr) return;
   if (!timed_out) {
     // Any response — even an application error — proves the peer is alive.
     peer->consecutive_failures = 0;
-    if (peer->suspect) {
-      peer->suspect = false;
-      DISCOVER_LOG(info, "server")
-          << describe() << ": peer " << peer->name << "@" << peer->node
-          << " healed";
-      drain_outbox_if_any(node);
-      broadcast_peer_state_to_cores(node, false);
-    }
+    if (peer->suspect) heal_peer(*peer, "healed");
     return;
   }
   if (config_.peer_suspect_threshold == 0 || peer->suspect) return;
@@ -671,35 +585,35 @@ void DiscoverServer::note_peer_call(std::uint32_t node, bool timed_out) {
   }
 }
 
+void DiscoverServer::add_peer(std::uint32_t node, const std::string& name,
+                              const orb::ObjectRef& ref) {
+  if (peers_.count(node) != 0) return;
+  Peer peer;
+  peer.node = node;
+  peer.name = name;
+  peer.server_ref = ref;
+  peer.limiter = std::make_unique<security::RateLimiter>(config_.peer_policy);
+  peers_.emplace(node, std::move(peer));
+  peer_count_cache_.store(peers_.size(), std::memory_order_relaxed);
+}
+
 void DiscoverServer::mark_peer_suspect(Peer& peer) {
   peer.suspect = true;
   DISCOVER_LOG(warn, "server")
       << describe() << ": peer " << peer.name << "@" << peer.node
       << " suspect after " << peer.consecutive_failures
       << " consecutive timeouts";
-  // Its applications are unreachable: withdraw them from the directory and
-  // tell everyone (clients get an "application departed" event inside
-  // remove_remote_app; peers get a control-channel error event).
-  std::vector<proto::AppId> gone;
-  for (const auto& [id, entry] : apps_) {
-    if (!entry.local && id.host == peer.node) gone.push_back(id);
-  }
-  for (const auto& id : gone) {
-    remove_remote_app(id, "host server unreachable");
-    broadcast_system_event(proto::SystemEventKind::error, id,
-                           config_.name + ": application " + id.to_string() +
-                               " unreachable (host " + peer.name + ")");
-  }
-  if (gone.empty()) {
-    broadcast_system_event(proto::SystemEventKind::error, proto::AppId{},
-                           config_.name + ": peer " + peer.name +
-                               " unreachable");
-  }
-  // Steering locks held or awaited via the dead server would otherwise
-  // strand until the lease fires (or forever without one): reap them now
-  // so a surviving waiter is promoted.
-  reap_server_locks(peer.node, "origin server " + peer.name + " unreachable");
-  broadcast_peer_state_to_cores(peer.node, true);
+  const std::uint32_t node = peer.node;
+  for_each_core([this, node](DiscoverServer& core) {
+    core.apply_peer_suspect(node, /*announce=*/&core == this);
+  });
+}
+
+void DiscoverServer::heal_peer(Peer& peer, const char* how) {
+  DISCOVER_LOG(info, "server") << describe() << ": peer " << peer.name << "@"
+                               << peer.node << " " << how;
+  const std::uint32_t node = peer.node;
+  for_each_core([node](DiscoverServer& core) { core.apply_peer_heal(node); });
 }
 
 void DiscoverServer::probe_suspect_peer(Peer& peer) {
@@ -710,82 +624,40 @@ void DiscoverServer::probe_suspect_peer(Peer& peer) {
         Peer* p = peer_by_node(node);
         if (p == nullptr || !r.ok()) return;
         p->consecutive_failures = 0;
-        if (p->suspect) {
-          p->suspect = false;
-          DISCOVER_LOG(info, "server")
-              << describe() << ": peer " << p->name << "@" << p->node
-              << " healed (probe)";
-          drain_outbox_if_any(node);
-          broadcast_peer_state_to_cores(node, false);
-        }
+        if (p->suspect) heal_peer(*p, "healed (probe)");
       },
       config_.orb_call_timeout);
 }
 
-// ---------------------------------------------------------------------------
-// Sharded federation (DESIGN.md §5j): peer replication and health fan-out
-// ---------------------------------------------------------------------------
-
-void DiscoverServer::replicate_peer_to_cores(const Peer& peer) {
-  if (!sharded() || shard_index_ != 0) return;
-  const std::uint32_t node = peer.node;
-  const std::string name = peer.name;
-  const orb::ObjectRef ref = peer.server_ref;
-  for (std::uint32_t i = 1; i < group_shards_; ++i) {
-    DiscoverServer* core = &group_->core_at(i);
-    group_->pool_->post(i, [core, node, name, ref] {
-      if (core->peers_.count(node) != 0) return;
-      Peer copy;
-      copy.node = node;
-      copy.name = name;
-      copy.server_ref = ref;
-      copy.limiter =
-          std::make_unique<security::RateLimiter>(core->config_.peer_policy);
-      core->peers_.emplace(node, std::move(copy));
-      core->peer_count_cache_.store(core->peers_.size(),
-                                    std::memory_order_relaxed);
-    });
-  }
-}
-
-void DiscoverServer::replicate_identities_to_cores() {
-  if (!sharded() || shard_index_ != 0) return;
-  const auto cache = identity_cache_;
-  for (std::uint32_t i = 1; i < group_shards_; ++i) {
-    DiscoverServer* core = &group_->core_at(i);
-    group_->pool_->post(i, [core, cache] { core->identity_cache_ = cache; });
-  }
-}
-
-void DiscoverServer::broadcast_peer_state_to_cores(std::uint32_t node,
-                                                   bool suspect) {
-  if (!sharded() || shard_index_ != 0) return;
-  for (std::uint32_t i = 1; i < group_shards_; ++i) {
-    DiscoverServer* core = &group_->core_at(i);
-    group_->pool_->post(i, [core, node, suspect] {
-      if (suspect) {
-        core->apply_peer_suspect(node);
-      } else {
-        core->apply_peer_heal(node);
-      }
-    });
-  }
-}
-
-void DiscoverServer::apply_peer_suspect(std::uint32_t node) {
+void DiscoverServer::apply_peer_suspect(std::uint32_t node, bool announce) {
   Peer* peer = peer_by_node(node);
+  const std::string name = peer != nullptr ? peer->name : "server";
   if (peer != nullptr) peer->suspect = true;
-  // Withdraw this core's remote apps hosted there; their watchers get the
-  // departed event.  No control broadcast here — core 0 already told the
-  // other servers once for the whole node.
+  // Its applications are unreachable: withdraw the ones this core owns
+  // from the directory (their watchers get an "application departed" event
+  // inside remove_remote_app) and, announcing, tell the other servers
+  // through the control channel.
   std::vector<proto::AppId> gone;
   for (const auto& [id, entry] : apps_) {
     if (!entry.local && id.host == node) gone.push_back(id);
   }
   for (const auto& id : gone) {
     remove_remote_app(id, "host server unreachable");
+    if (announce) {
+      broadcast_system_event(proto::SystemEventKind::error, id,
+                             config_.name + ": application " +
+                                 id.to_string() + " unreachable (host " +
+                                 name + ")");
+    }
   }
-  reap_server_locks(node, "origin server unreachable");
+  if (announce && gone.empty()) {
+    broadcast_system_event(proto::SystemEventKind::error, proto::AppId{},
+                           config_.name + ": peer " + name + " unreachable");
+  }
+  // Steering locks held or awaited via the dead server would otherwise
+  // strand until the lease fires (or forever without one): reap them now
+  // so a surviving waiter is promoted.
+  reap_server_locks(node, "origin server " + name + " unreachable");
 }
 
 void DiscoverServer::apply_peer_heal(std::uint32_t node) {
@@ -835,31 +707,20 @@ void DiscoverServer::handle_control_channel(const net::Message& msg) {
   switch (ev->kind) {
     case proto::SystemEventKind::app_departed: {
       // Control framing lands on core 0 (route_message); the remote entry
-      // for this app lives on shard_of_app's core — hop there.
+      // for this app lives on shard_of_app's core.
       const std::uint32_t owner = shard_owner_of(ev->app);
-      if (sharded() && owner != shard_index_) {
-        DiscoverServer* core = &group_->core_at(owner);
-        const proto::AppId app = ev->app;
-        const std::string text = ev->text;
-        group_->pool_->post(
-            owner, [core, app, text] { core->remove_remote_app(app, text); });
-      } else {
-        remove_remote_app(ev->app, ev->text);
-      }
+      DiscoverServer* core = &group_->core_at(owner);
+      post_shard(owner, [core, app = ev->app, text = ev->text] {
+        core->remove_remote_app(app, text);
+      });
       break;
     }
     case proto::SystemEventKind::server_down: {
-      // Peers are replicated to every core; each core forgets its copy and
-      // withdraws its own share of the dead server's apps.
+      // Every core knows the peer; each forgets its copy and withdraws its
+      // own share of the dead server's apps.
       const std::uint32_t origin = ev->origin_server;
-      if (sharded()) {
-        for (std::uint32_t i = 1; i < group_shards_; ++i) {
-          DiscoverServer* core = &group_->core_at(i);
-          group_->pool_->post(i,
-                              [core, origin] { core->handle_peer_down(origin); });
-        }
-      }
-      handle_peer_down(origin);
+      for_each_core(
+          [origin](DiscoverServer& core) { core.handle_peer_down(origin); });
       break;
     }
     case proto::SystemEventKind::server_up:
@@ -1335,33 +1196,21 @@ void DiscoverServer::flush_all_outboxes() {
 }
 
 void DiscoverServer::ingest_event_frames(
-    const std::vector<proto::EventFrame>& frames) {
-  if (!sharded()) {
-    apply_event_frames(frames);
-    return;
-  }
+    std::vector<proto::EventFrame> frames) {
   // A peer batches per destination NODE, so one forward_events call mixes
   // apps owned by different cores.  Scatter each frame to shard_of_app's
-  // core (per-frame order within an app is preserved: frames for one app
-  // always land on one core, through one FIFO queue) and apply this core's
-  // own share inline.
-  std::vector<proto::EventFrame> mine;
-  std::map<std::uint32_t, std::vector<proto::EventFrame>> other;
-  for (const auto& f : frames) {
-    const std::uint32_t owner = shard_owner_of(f.app);
-    if (owner == shard_index_) {
-      mine.push_back(f);
-    } else {
-      other[owner].push_back(f);
-    }
+  // core: frames for one app always land on one core, through one FIFO
+  // queue, so per-app order is preserved.
+  std::map<std::uint32_t, std::vector<proto::EventFrame>> by_owner;
+  for (auto& f : frames) {
+    by_owner[shard_owner_of(f.app)].push_back(std::move(f));
   }
-  for (auto& [owner, batch] : other) {
+  for (auto& [owner, batch] : by_owner) {
     DiscoverServer* core = &group_->core_at(owner);
-    group_->pool_->post(owner, [core, batch = std::move(batch)] {
+    post_shard(owner, [core, batch = std::move(batch)] {
       core->apply_event_frames(batch);
     });
   }
-  if (!mine.empty()) apply_event_frames(mine);
 }
 
 void DiscoverServer::apply_event_frames(
@@ -1454,15 +1303,11 @@ void DiscoverServer::record_directory_change(const proto::AppId& app,
 }
 
 void DiscoverServer::bump_directory_epoch() {
-  if (sharded()) {
-    post_shard(0, [this] {
-      ++dir_epoch_;
-      dir_log_.clear();
-    });
-    return;
-  }
-  ++dir_epoch_;
-  dir_log_.clear();
+  // The node-wide (epoch, version) sequence lives on core 0.
+  post_shard(0, [this] {
+    ++dir_epoch_;
+    dir_log_.clear();
+  });
 }
 
 proto::DirectoryUpdate DiscoverServer::directory_update_since(

@@ -42,7 +42,55 @@ http::HttpResponse admission_response(util::Bytes body,
   return resp;
 }
 
+/// Reply slot for a request answered through an owner hop or a gather.
+/// An answer that arrives while service() is still running is written over
+/// the inline response, so a request the calling core answers at once
+/// leaves exactly as an unhopped one would; a later answer completes the
+/// deferred reply taken by release().  Both run on the calling core.
+class HopReply {
+ public:
+  explicit HopReply(http::HttpResponse& response) : inline_(&response) {}
+
+  void complete(http::HttpResponse answer) {
+    if (done_) return;
+    done_ = true;
+    if (inline_ == nullptr) {
+      deferred_->complete(std::move(answer));
+      return;
+    }
+    inline_->status = answer.status;
+    for (const auto& [name, value] : answer.headers.all()) {
+      inline_->headers.set(name, value);
+    }
+    inline_->body = std::move(answer.body);
+  }
+
+  /// Call last in service(): from here on an answer is deferred.
+  void release(http::ServletContext& ctx) {
+    inline_ = nullptr;
+    if (!done_) deferred_ = ctx.defer();
+  }
+
+ private:
+  http::HttpResponse* inline_;
+  std::shared_ptr<http::DeferredHttpReply> deferred_;
+  bool done_ = false;
+};
+
 }  // namespace
+
+void DiscoverServer::reply_from_owner(
+    const proto::AppId& app, http::HttpResponse& response,
+    http::ServletContext& ctx,
+    std::function<void(DiscoverServer&,
+                       std::function<void(http::HttpResponse)>)>
+        work) {
+  auto slot = std::make_shared<HopReply>(response);
+  ask_owner<http::HttpResponse>(
+      app, std::move(work),
+      [slot](http::HttpResponse r) { slot->complete(std::move(r)); });
+  slot->release(ctx);
+}
 
 // ---------------------------------------------------------------------------
 // Master servlet: "the client's gateway to the server" (paper §4.1)
@@ -71,6 +119,10 @@ class DiscoverServer::MasterServlet final : public http::Servlet {
   }
 
  private:
+  // Applications — and with them the user ACLs — are striped across cores,
+  // so authentication and the visible-app directory gather every core; the
+  // gather also sums the per-core session counts for the server-wide
+  // admission cap.
   void login(const http::HttpRequest& request, http::HttpResponse& response,
              http::ServletContext& ctx) {
     DiscoverServer& s = server_;
@@ -79,205 +131,102 @@ class DiscoverServer::MasterServlet final : public http::Servlet {
     // request arrival -> deferred completion.
     const bool timed = s.stage_sample() && s.stage_login_ != nullptr;
     const util::TimePoint t0 = ctx.now;
-
-    if (s.sharded()) {
-      login_sharded(req, ctx, timed, t0);
-      return;
-    }
-
-    proto::LoginReply reply;
-    // Admission control (flash crowds): refuse NEW sessions at the cap.  A
-    // client that already holds a session here may always re-login — its
-    // retry must not be punished by the crowd it is part of.
-    if (s.config_.max_sessions != 0 &&
-        s.sessions_.size() >= s.config_.max_sessions &&
-        s.sessions_.count(ctx.session->id()) == 0) {
-      reply.ok = false;
-      reply.admission = proto::AdmissionError::server_sessions;
-      reply.retry_after = s.config_.admission_retry_after;
-      reply.message = s.config_.name + " is full (" +
-                      std::to_string(s.sessions_.size()) + " sessions)";
-      ++s.stats_.admission_rejected_logins;
-      ++s.stats_.logins_failed;
-      set_admission(response, proto::encode_body(reply), reply.retry_after);
-      return;
-    }
-    // Level-1 authentication against local application ACLs (§5.2.2).
-    if (!s.authenticate_local(req.user, req.password_digest)) {
-      reply.ok = false;
-      reply.message = "unknown user or bad password at " + s.config_.name;
-      ++s.stats_.logins_failed;
-      set_body(response, proto::encode_body(reply));
-      response.status = 401;
-      return;
-    }
-    reply.ok = true;
-    reply.message = "welcome to " + s.config_.name;
-    reply.token = s.tokens_.issue(req.user, s.network_.now(),
-                                  s.config_.token_ttl);
-    reply.applications = s.visible_apps(req.user);
-    ++s.stats_.logins_ok;
-
-    // Bind (or refresh) the server-side client session.
-    ClientSession& session = s.sessions_[ctx.session->id()];
-    session.key = ctx.session->id();
-    session.user = req.user;
-    session.client_node = ctx.client;
-
-    // Cross-server authentication fan-out: ask every known peer's
-    // DiscoverCorbaServer for this user's applications (§5.2.2).  Suspect
-    // peers are skipped — waiting out their timeout would stall every
-    // login for nothing.
-    std::vector<Peer*> live_peers;
-    for (auto& [node, peer] : s.peers_) {
-      if (!peer.suspect) live_peers.push_back(&peer);
-    }
-    if (live_peers.empty()) {
-      set_body(response, proto::encode_body(reply));
-      if (timed) s.stage_login_->record(s.network_.now() - t0);
-      return;
-    }
-
-    auto deferred = ctx.defer();
-    struct FanOut {
-      proto::LoginReply reply;
-      std::size_t remaining;
-      std::shared_ptr<http::DeferredHttpReply> out;
-    };
-    auto state = std::make_shared<FanOut>();
-    state->reply = std::move(reply);
-    state->remaining = live_peers.size();
-    state->out = deferred;
-    for (Peer* peer : live_peers) {
-      wire::Encoder args;
-      args.str(req.user);
-      args.u64(req.password_digest);
-      s.invoke_peer(
-          peer->node, peer->server_ref, "authenticate", std::move(args),
-          [state, &s, timed, t0](util::Result<util::Bytes> r) {
-            if (r.ok()) {
-              wire::Decoder d(r.value());
-              if (d.boolean()) {
-                const std::uint32_t n = d.u32();
-                for (std::uint32_t i = 0; i < n; ++i) {
-                  state->reply.applications.push_back(
-                      proto::decode_app_info(d));
-                }
-              }
-            }
-            if (--state->remaining == 0) {
-              if (timed) s.stage_login_->record(s.network_.now() - t0);
-              state->out->complete(
-                  body_response(200, proto::encode_body(state->reply)));
-            }
-          },
-          s.config_.login_fanout_timeout);
-    }
-  }
-
-  // Sharded login (DESIGN.md §5i): applications — and with them the user
-  // ACLs — are striped across cores, so authentication and the visible-app
-  // directory need one hop through every core.  The gather also sums the
-  // per-core session counts for the server-wide admission cap.
-  void login_sharded(const proto::LoginRequest& req, http::ServletContext& ctx,
-                     bool timed, util::TimePoint t0) {
-    DiscoverServer& s = server_;
     struct Gather {
       bool found = false;
       std::vector<proto::AppInfo> applications;
       std::size_t total_sessions = 0;
     };
     auto acc = std::make_shared<Gather>();
-    auto deferred = ctx.defer();
+    auto reply = std::make_shared<HopReply>(response);
     const std::uint64_t session_key = ctx.session->id();
     const net::NodeId client_node = ctx.client;
-    const proto::LoginRequest r = req;
     s.gather_across_cores(
-        [acc, r](DiscoverServer& core) {
-          acc->found |=
-              core.authenticate_local(r.user, r.password_digest);
-          auto apps = core.visible_apps(r.user);
+        [acc, req](DiscoverServer& core) {
+          acc->found |= core.authenticate_local(req.user, req.password_digest);
+          auto apps = core.visible_apps(req.user);
           acc->applications.insert(acc->applications.end(),
                                    std::make_move_iterator(apps.begin()),
                                    std::make_move_iterator(apps.end()));
           acc->total_sessions += core.sessions_.size();
         },
-        [acc, deferred, r, session_key, client_node, timed, t0, &s] {
-          proto::LoginReply reply;
+        [acc, reply, req, session_key, client_node, timed, t0, &s] {
+          proto::LoginReply out;
+          // Admission control (flash crowds): refuse NEW sessions at the
+          // cap.  A client that already holds a session here may always
+          // re-login — its retry must not be punished by the crowd it is
+          // part of.
           if (s.config_.max_sessions != 0 &&
               acc->total_sessions >= s.config_.max_sessions &&
               s.sessions_.count(session_key) == 0) {
-            reply.ok = false;
-            reply.admission = proto::AdmissionError::server_sessions;
-            reply.retry_after = s.config_.admission_retry_after;
-            reply.message = s.config_.name + " is full (" +
-                            std::to_string(acc->total_sessions) +
-                            " sessions)";
+            out.ok = false;
+            out.admission = proto::AdmissionError::server_sessions;
+            out.retry_after = s.config_.admission_retry_after;
+            out.message = s.config_.name + " is full (" +
+                          std::to_string(acc->total_sessions) + " sessions)";
             ++s.stats_.admission_rejected_logins;
             ++s.stats_.logins_failed;
-            deferred->complete(admission_response(proto::encode_body(reply),
-                                                  reply.retry_after));
+            reply->complete(
+                admission_response(proto::encode_body(out), out.retry_after));
             return;
           }
+          // Level-1 authentication against local application ACLs (§5.2.2).
           if (!acc->found) {
-            reply.ok = false;
-            reply.message =
-                "unknown user or bad password at " + s.config_.name;
+            out.ok = false;
+            out.message = "unknown user or bad password at " + s.config_.name;
             ++s.stats_.logins_failed;
-            deferred->complete(
-                body_response(401, proto::encode_body(reply)));
+            reply->complete(body_response(401, proto::encode_body(out)));
             return;
           }
-          reply.ok = true;
-          reply.message = "welcome to " + s.config_.name;
+          out.ok = true;
+          out.message = "welcome to " + s.config_.name;
           // Tokens verify on every core: same node id, same secret.
-          reply.token = s.tokens_.issue(r.user, s.network_.now(),
-                                        s.config_.token_ttl);
-          // Core visit order is deterministic but an implementation detail;
-          // present the directory in app-id order like a single core would.
+          out.token = s.tokens_.issue(req.user, s.network_.now(),
+                                      s.config_.token_ttl);
+          // Present the directory in app-id order whatever the core visit
+          // order was.
           std::sort(acc->applications.begin(), acc->applications.end(),
                     [](const proto::AppInfo& a, const proto::AppInfo& b) {
                       return a.id < b.id;
                     });
-          reply.applications = std::move(acc->applications);
+          out.applications = std::move(acc->applications);
           ++s.stats_.logins_ok;
+
+          // Bind (or refresh) the server-side client session.
           ClientSession& session = s.sessions_[session_key];
           session.key = session_key;
-          session.user = r.user;
+          session.user = req.user;
           session.client_node = client_node;
 
-          // Cross-server authentication fan-out, same as the unsharded
-          // path: peers are mirrored to every core (§5j), so this core
-          // can ask each live peer's DiscoverCorbaServer directly.
+          // Cross-server authentication fan-out: ask every known peer's
+          // DiscoverCorbaServer for this user's applications (§5.2.2).
+          // Peers are known to every core (§5j).  Suspect peers are
+          // skipped — waiting out their timeout would stall every login
+          // for nothing.
           std::vector<Peer*> live_peers;
           for (auto& [node, peer] : s.peers_) {
             if (!peer.suspect) live_peers.push_back(&peer);
           }
           if (live_peers.empty()) {
             if (timed) s.stage_login_->record(s.network_.now() - t0);
-            deferred->complete(
-                body_response(200, proto::encode_body(reply)));
+            reply->complete(body_response(200, proto::encode_body(out)));
             return;
           }
           struct FanOut {
             proto::LoginReply reply;
             std::size_t remaining;
-            std::shared_ptr<http::DeferredHttpReply> out;
           };
           auto state = std::make_shared<FanOut>();
-          state->reply = std::move(reply);
+          state->reply = std::move(out);
           state->remaining = live_peers.size();
-          state->out = deferred;
           for (Peer* peer : live_peers) {
             wire::Encoder args;
-            args.str(r.user);
-            args.u64(r.password_digest);
+            args.str(req.user);
+            args.u64(req.password_digest);
             s.invoke_peer(
-                peer->node, peer->server_ref, "authenticate",
-                std::move(args),
-                [state, &s, timed, t0](util::Result<util::Bytes> rr) {
-                  if (rr.ok()) {
-                    wire::Decoder d(rr.value());
+                peer->node, peer->server_ref, "authenticate", std::move(args),
+                [state, reply, &s, timed, t0](util::Result<util::Bytes> r) {
+                  if (r.ok()) {
+                    wire::Decoder d(r.value());
                     if (d.boolean()) {
                       const std::uint32_t n = d.u32();
                       for (std::uint32_t i = 0; i < n; ++i) {
@@ -287,16 +236,15 @@ class DiscoverServer::MasterServlet final : public http::Servlet {
                     }
                   }
                   if (--state->remaining == 0) {
-                    if (timed) {
-                      s.stage_login_->record(s.network_.now() - t0);
-                    }
-                    state->out->complete(body_response(
-                        200, proto::encode_body(state->reply)));
+                    if (timed) s.stage_login_->record(s.network_.now() - t0);
+                    reply->complete(
+                        body_response(200, proto::encode_body(state->reply)));
                   }
                 },
                 s.config_.login_fanout_timeout);
           }
         });
+    reply->release(ctx);
   }
 
   void select(const http::HttpRequest& request, http::HttpResponse& response,
@@ -325,184 +273,74 @@ class DiscoverServer::MasterServlet final : public http::Servlet {
     const std::string user = req.token.user;
     const std::uint64_t session_key = session->key;
     const proto::AppId app_id = req.app_id;
-    auto deferred = ctx.defer();
-    // Stage latency: request arrival -> deferred completion, so the remote
+    const bool already = session->apps.count(app_id) > 0;
+    // Stage latency: request arrival -> completion, so the remote
     // get_interface round-trip is part of the measured select cost.
     const bool timed = s.stage_sample() && s.stage_select_ != nullptr;
     const util::TimePoint t0 = ctx.now;
-    const auto finish = [&s, deferred, timed, t0](http::HttpResponse r) {
+    auto slot = std::make_shared<HopReply>(response);
+    const auto finish = [&s, slot, timed, t0](http::HttpResponse r) {
       if (timed) s.stage_select_->record(s.network_.now() - t0);
-      deferred->complete(std::move(r));
+      slot->complete(std::move(r));
     };
-
-    // Cross-shard select (DESIGN.md §5i/§5j): the app — local to a sibling
-    // core, or a remote app that core owns — lives on another core of this
-    // server.  Hop to the owner for the ACL/admission grant (which also
-    // bumps our shard's watcher refcount and, for remote apps, runs the
-    // host-side get_interface/subscribe handshake), then finish the
-    // subscription against our session state back here.
-    if (const std::uint32_t owner = s.shard_owner_of(app_id);
-        s.sharded() && owner != s.shard_index_) {
-      const bool already = session->apps.count(app_id) > 0;
-      const std::uint32_t me = s.shard_index_;
-      DiscoverServer* grp = s.group_;
-      grp->post_shard(owner, [grp, owner, me, app_id, user, session_key,
-                              already, finish] {
-        grp->core_at(owner).select_on_owner_async(
-            app_id, user, me, already,
-            [grp, owner, me, app_id, user, session_key, already,
-             finish](ShardSelectGrant grant) {
-          DiscoverServer& client = grp->core_at(me);
+    // The owner core admits and authenticates (and, for a remote app, runs
+    // the host-side get_interface/subscribe handshake); the subscription
+    // itself binds to the session here, on the session's core.
+    const std::uint32_t owner = s.shard_owner_of(app_id);
+    const std::uint32_t me = s.shard_index_;
+    s.ask_owner<SelectGrant>(
+        app_id,
+        [app_id, user, me, already](DiscoverServer& host,
+                                    std::function<void(SelectGrant)> done) {
+          host.select_on_owner(app_id, user, me, already, std::move(done));
+        },
+        [&s, finish, app_id, user, session_key, already, owner,
+         me](SelectGrant grant) {
           proto::SelectAppReply out;
-          ClientSession* sess = client.session_of(session_key);
-          const bool granted = grant.found && !grant.admission_rejected &&
-                               grant.privilege != security::Privilege::none;
+          ClientSession* sess = s.session_of(session_key);
           if (!grant.found || sess == nullptr) {
-            if (granted && !already && sess == nullptr) {
-              // The session vanished while the grant was in flight; return
-              // the watcher refcount we just took on the owner.
-              grp->post_shard(owner, [grp, owner, me, app_id] {
-                grp->core_at(owner).release_shard_watcher(app_id, me);
+            if (sess == nullptr && !already && !grant.admission_rejected &&
+                grant.privilege != security::Privilege::none) {
+              // The session left while the grant was in flight; return the
+              // watcher the owner just counted.
+              DiscoverServer* group = s.group_;
+              s.post_shard(owner, [group, owner, app_id, me] {
+                group->core_at(owner).release_shard_watcher(app_id, me);
               });
             }
             out.message = "application not found: " + app_id.to_string();
-            ++client.stats_.selects_failed;
+            ++s.stats_.selects_failed;
             finish(body_response(404, proto::encode_body(out)));
             return;
           }
           if (grant.admission_rejected) {
             out.admission = proto::AdmissionError::app_sessions;
-            out.retry_after = client.config_.admission_retry_after;
+            out.retry_after = s.config_.admission_retry_after;
             out.message = "application " + app_id.to_string() + " is full";
-            ++client.stats_.admission_rejected_selects;
-            ++client.stats_.selects_failed;
-            finish(
-                admission_response(proto::encode_body(out), out.retry_after));
+            ++s.stats_.admission_rejected_selects;
+            ++s.stats_.selects_failed;
+            finish(admission_response(proto::encode_body(out),
+                                      out.retry_after));
             return;
           }
           if (grant.privilege == security::Privilege::none) {
-            out.message = user + " has no access to " + grant.name;
-            ++client.stats_.selects_failed;
+            out.message = grant.error.empty()
+                              ? user + " has no access to " + grant.name
+                              : grant.error;
+            ++s.stats_.selects_failed;
             finish(body_response(403, proto::encode_body(out)));
             return;
           }
-          ClientSub& sub = client.subscribe_session(*sess, app_id);
+          ClientSub& sub = s.subscribe_session(*sess, app_id);
           sub.privilege = grant.privilege;
           out.ok = true;
           out.privilege = grant.privilege;
-          out.interface_spec = grant.params;
+          out.interface_spec = std::move(grant.params);
           out.history_seq = grant.history_seq;
-          ++client.stats_.selects_ok;
+          ++s.stats_.selects_ok;
           finish(body_response(200, proto::encode_body(out)));
         });
-      });
-      return;
-    }
-
-    s.with_remote_app(app_id, [&s, finish, user, session_key,
-                               app_id](AppEntry* entry) {
-      proto::SelectAppReply out;
-      ClientSession* sess = s.session_of(session_key);
-      if (entry == nullptr || sess == nullptr) {
-        out.message = "application not found: " + app_id.to_string();
-        ++s.stats_.selects_failed;
-        finish(body_response(404, proto::encode_body(out)));
-        return;
-      }
-      // Per-app admission: refuse NEW subscribers beyond the cap (sessions
-      // that already selected the app pass — their re-select is idempotent).
-      if (s.config_.max_sessions_per_app != 0 &&
-          sess->apps.count(app_id) == 0 &&
-          s.subscriber_count(app_id) >= s.config_.max_sessions_per_app) {
-        out.admission = proto::AdmissionError::app_sessions;
-        out.retry_after = s.config_.admission_retry_after;
-        out.message = "application " + app_id.to_string() + " is full";
-        ++s.stats_.admission_rejected_selects;
-        ++s.stats_.selects_failed;
-        finish(admission_response(proto::encode_body(out), out.retry_after));
-        return;
-      }
-      if (entry->local) {
-        // Level-2 authentication against the application ACL (§5.2.2).
-        const security::Privilege p = entry->acl.privilege_of(user);
-        if (p == security::Privilege::none) {
-          out.message = user + " has no access to " + entry->name;
-          ++s.stats_.selects_failed;
-          finish(body_response(403, proto::encode_body(out)));
-          return;
-        }
-        ClientSub& sub = s.subscribe_session(*sess, app_id);
-        sub.privilege = p;
-        out.ok = true;
-        out.privilege = p;
-        out.interface_spec = entry->params;
-        out.history_seq = entry->event_seq;
-        ++s.stats_.selects_ok;
-        finish(body_response(200, proto::encode_body(out)));
-        return;
-      }
-      // Remote application: level-2 authentication at the host through its
-      // CorbaProxy, then subscribe this server to its event stream.
-      wire::Encoder args;
-      args.str(user);
-      s.invoke_peer(
-          entry->corba_proxy.node, entry->corba_proxy, "get_interface",
-          std::move(args),
-          [&s, finish, user, session_key, app_id](
-              util::Result<util::Bytes> r) {
-            proto::SelectAppReply out2;
-            ClientSession* sess2 = s.session_of(session_key);
-            AppEntry* entry2 = s.find_app(app_id);
-            if (!r.ok() || sess2 == nullptr || entry2 == nullptr) {
-              out2.message = !r.ok() ? r.error().message : "session gone";
-              ++s.stats_.selects_failed;
-              finish(body_response(403, proto::encode_body(out2)));
-              return;
-            }
-            wire::Decoder d(r.value());
-            const auto p = static_cast<security::Privilege>(d.u8());
-            const std::uint32_t n = d.u32();
-            std::vector<proto::ParamSpec> params;
-            params.reserve(n);
-            for (std::uint32_t i = 0; i < n; ++i) {
-              params.push_back(proto::decode_param_spec(d));
-            }
-            const std::uint64_t history_seq = d.u64();
-            // Authoritative admission re-check: concurrent selects may have
-            // filled the app while our get_interface was in flight.
-            if (s.config_.max_sessions_per_app != 0 &&
-                sess2->apps.count(app_id) == 0 &&
-                s.subscriber_count(app_id) >=
-                    s.config_.max_sessions_per_app) {
-              out2.admission = proto::AdmissionError::app_sessions;
-              out2.retry_after = s.config_.admission_retry_after;
-              out2.message = "application " + app_id.to_string() + " is full";
-              ++s.stats_.admission_rejected_selects;
-              ++s.stats_.selects_failed;
-              finish(admission_response(proto::encode_body(out2),
-                                        out2.retry_after));
-              return;
-            }
-            entry2->params = params;
-            if (!entry2->remote_subscribed && entry2->remote_known_seq == 0) {
-              // First subscription: events up to the level-2 handshake are
-              // history the watcher never asked for.  Anything the host
-              // publishes after this point must reach us — the subscribe
-              // reply backfills the gap instead of skipping over it.
-              entry2->remote_known_seq = history_seq;
-            }
-            ClientSub& sub = s.subscribe_session(*sess2, app_id);
-            sub.privilege = p;
-            s.subscribe_remote(*entry2);
-            out2.ok = true;
-            out2.privilege = p;
-            out2.interface_spec = std::move(params);
-            out2.history_seq = history_seq;
-            ++s.stats_.selects_ok;
-            finish(body_response(200, proto::encode_body(out2)));
-          },
-          s.config_.orb_call_timeout);
-    });
+    slot->release(ctx);
   }
 
   void logout(const http::HttpRequest& request, http::HttpResponse& response,
@@ -578,125 +416,59 @@ class DiscoverServer::CommandServlet final : public http::Servlet {
       return;
     }
 
-    // Cross-shard command (DESIGN.md §5i): the cached-privilege fast-fail
-    // ran against our session sub; the owner core re-checks authoritatively
-    // in admit_command, exactly like the unsharded local path.
-    if (const std::uint32_t owner = s.shard_owner_of(req.app_id);
-        s.sharded() && owner != s.shard_index_) {
-      auto deferred = ctx.defer();
-      const std::uint32_t me = s.shard_index_;
-      DiscoverServer* grp = s.group_;
-      const std::string user = session->user;
-      const std::uint32_t origin = s.self_.value();
-      const proto::CommandRequest creq = req;
-      const bool collab = sub.collab_enabled;
-      const std::string subgroup = sub.subgroup;
-      grp->post_shard(owner, [grp, owner, me, user, origin, creq, collab,
-                              subgroup, deferred] {
-        DiscoverServer& host = grp->core_at(owner);
-        proto::CommandAck out;
-        out.request_id = creq.request_id;
-        int status = 200;
-        AppEntry* entry = host.find_app(creq.app_id);
-        if (entry != nullptr && !entry->local) {
-          // Remote app owned by this core (§5j): relay through the host's
-          // CorbaProxy like the unsharded remote path, ack after the
-          // host's admission verdict.
+    // The cached-privilege fast-fail ran against our session sub; the
+    // owner core re-checks authoritatively in admit_command (§5.2.2), or
+    // relays to a remote app's host through its CorbaProxy (§5.1.2) and
+    // answers with the host's admission verdict.
+    const std::string user = session->user;
+    const std::uint32_t origin = s.self_.value();
+    const bool collab = sub.collab_enabled;
+    const std::string subgroup = sub.subgroup;
+    s.reply_from_owner(
+        req.app_id, response, ctx,
+        [user, origin, req, collab, subgroup](
+            DiscoverServer& host,
+            std::function<void(http::HttpResponse)> done) {
+          proto::CommandAck out;
+          out.request_id = req.request_id;
+          AppEntry* entry = host.find_app(req.app_id);
+          if (entry == nullptr) {
+            out.message = "application not found";
+            done(body_response(404, proto::encode_body(out)));
+            return;
+          }
+          if (entry->local) {
+            out = host.admit_command(*entry, user, origin, req.request_id,
+                                     req.kind, req.param, req.value, collab,
+                                     subgroup);
+            done(body_response(200, proto::encode_body(out)));
+            return;
+          }
           ++host.stats_.remote_commands_out;
           wire::Encoder args;
           args.str(user);
-          args.u64(creq.request_id);
-          args.u8(static_cast<std::uint8_t>(creq.kind));
-          args.str(creq.param);
-          proto::encode(args, creq.value);
+          args.u64(req.request_id);
+          args.u8(static_cast<std::uint8_t>(req.kind));
+          args.str(req.param);
+          proto::encode(args, req.value);
           args.boolean(collab);
           args.str(subgroup);
-          const std::uint64_t rid = creq.request_id;
           host.invoke_peer(
               entry->corba_proxy.node, entry->corba_proxy, "send_command",
               std::move(args),
-              [grp, me, deferred, rid](util::Result<util::Bytes> r) {
-                proto::CommandAck relayed;
-                relayed.request_id = rid;
-                int rstatus = 200;
+              [out, done](util::Result<util::Bytes> r) mutable {
                 if (!r.ok()) {
-                  relayed.message = r.error().message;
-                  rstatus = 503;
-                } else {
-                  wire::Decoder d(r.value());
-                  relayed.accepted = d.boolean();
-                  relayed.message = d.str();
+                  out.message = r.error().message;
+                  done(body_response(503, proto::encode_body(out)));
+                  return;
                 }
-                grp->post_shard(me, [deferred, relayed, rstatus] {
-                  deferred->complete(
-                      body_response(rstatus, proto::encode_body(relayed)));
-                });
+                wire::Decoder d(r.value());
+                out.accepted = d.boolean();
+                out.message = d.str();
+                done(body_response(200, proto::encode_body(out)));
               },
               host.config_.orb_call_timeout);
-          return;
-        }
-        if (entry == nullptr) {
-          out.message = "application not found";
-          status = 404;
-        } else {
-          out = host.admit_command(*entry, user, origin, creq.request_id,
-                                   creq.kind, creq.param, creq.value, collab,
-                                   subgroup);
-        }
-        grp->post_shard(me, [deferred, out, status] {
-          deferred->complete(body_response(status, proto::encode_body(out)));
         });
-      });
-      return;
-    }
-
-    AppEntry* entry = s.find_app(req.app_id);
-    if (entry == nullptr) {
-      ack.message = "application not found";
-      set_body(response, proto::encode_body(ack));
-      response.status = 404;
-      return;
-    }
-
-    if (entry->local) {
-      ack = s.admit_command(*entry, session->user, s.self_.value(),
-                            req.request_id, req.kind, req.param, req.value,
-                            sub.collab_enabled, sub.subgroup);
-      set_body(response, proto::encode_body(ack));
-      return;
-    }
-
-    // Remote application: relay through the host's CorbaProxy (§5.1.2) and
-    // defer the HTTP ack until the host's admission verdict returns.
-    ++s.stats_.remote_commands_out;
-    auto deferred = ctx.defer();
-    wire::Encoder args;
-    args.str(session->user);
-    args.u64(req.request_id);
-    args.u8(static_cast<std::uint8_t>(req.kind));
-    args.str(req.param);
-    proto::encode(args, req.value);
-    args.boolean(sub.collab_enabled);
-    args.str(sub.subgroup);
-    const std::uint64_t rid = req.request_id;
-    s.invoke_peer(
-        entry->corba_proxy.node, entry->corba_proxy, "send_command",
-        std::move(args),
-        [deferred, rid](util::Result<util::Bytes> r) {
-          proto::CommandAck out;
-          out.request_id = rid;
-          if (!r.ok()) {
-            out.message = r.error().message;
-            deferred->complete(
-                body_response(503, proto::encode_body(out)));
-            return;
-          }
-          wire::Decoder d(r.value());
-          out.accepted = d.boolean();
-          out.message = d.str();
-          deferred->complete(body_response(200, proto::encode_body(out)));
-        },
-        s.config_.orb_call_timeout);
   }
 
  private:
@@ -836,59 +608,31 @@ class DiscoverServer::CollabServlet final : public http::Servlet {
     ev.shared = sub.collab_enabled;
     ++s.stats_.collab_posts;
 
-    // Cross-shard collaboration post (DESIGN.md §5i): the event is built
-    // here from our session state, but stamping/archiving/redistribution is
-    // the owner core's job — same split as the unsharded host relay.
-    if (const std::uint32_t owner = s.shard_owner_of(req.app_id);
-        s.sharded() && owner != s.shard_index_) {
-      auto deferred = ctx.defer();
-      const std::uint32_t me = s.shard_index_;
-      DiscoverServer* grp = s.group_;
-      grp->post_shard(owner, [grp, owner, me, ev = std::move(ev),
-                              app_id = req.app_id, deferred]() mutable {
-        DiscoverServer& host = grp->core_at(owner);
-        proto::CollabAck out;
-        int status = 200;
-        AppEntry* entry = host.find_app(app_id);
-        if (entry == nullptr) {
-          out.message = "application not found";
-          status = 404;
-        } else if (!entry->local) {
-          // Remote app owned by this core (§5j): relay to its host server —
-          // through this core's outbox when batching is on — and ack
-          // optimistically like the unsharded relay does.
-          host.relay_collab_to_host(*entry, ev);
+    // The event is built here from our session state; stamping, archiving
+    // and redistribution are the owner core's job — or, for a remote app,
+    // its host's (§5.2.3), reached through the owner's relay (and its
+    // outbox when batching is on).
+    s.reply_from_owner(
+        req.app_id, response, ctx,
+        [ev = std::move(ev)](
+            DiscoverServer& host,
+            std::function<void(http::HttpResponse)> done) mutable {
+          proto::CollabAck out;
+          AppEntry* entry = host.find_app(ev.app);
+          if (entry == nullptr) {
+            out.message = "application not found";
+            done(body_response(404, proto::encode_body(out)));
+            return;
+          }
+          if (entry->local) {
+            host.publish_event(*entry, std::move(ev));
+          } else {
+            host.relay_collab_to_host(*entry, ev);
+          }
           out.ok = true;
           out.message = "posted";
-        } else {
-          host.publish_event(*entry, std::move(ev));
-          out.ok = true;
-          out.message = "posted";
-        }
-        grp->post_shard(me, [deferred, out, status] {
-          deferred->complete(body_response(status, proto::encode_body(out)));
+          done(body_response(200, proto::encode_body(out)));
         });
-      });
-      return;
-    }
-
-    AppEntry* entry = s.find_app(req.app_id);
-    if (entry == nullptr) {
-      ack.message = "application not found";
-      set_body(response, proto::encode_body(ack));
-      response.status = 404;
-      return;
-    }
-    if (entry->local) {
-      s.publish_event(*entry, std::move(ev));
-    } else {
-      // Relay to the host, which stamps/archives/redistributes (§5.2.3) —
-      // through the host's outbox when batching is on.
-      s.relay_collab_to_host(*entry, ev);
-    }
-    ack.ok = true;
-    ack.message = "posted";
-    set_body(response, proto::encode_body(ack));
   }
 
   void group(const http::HttpRequest& request, http::HttpResponse& response,
@@ -977,107 +721,50 @@ class DiscoverServer::ArchiveServlet final : public http::Servlet {
       response.status = 400;
       return;
     }
-    // Cross-shard history (DESIGN.md §5i): the application log lives on the
-    // owner core's archive; fetch there and encode back here.
-    if (const std::uint32_t owner = s.shard_owner_of(req.app_id);
-        s.sharded() && owner != s.shard_index_) {
-      auto deferred = ctx.defer();
-      const std::uint32_t me = s.shard_index_;
-      DiscoverServer* grp = s.group_;
-      grp->post_shard(owner, [grp, owner, me, app_id = req.app_id,
-                              from_seq = req.from_seq,
-                              max_events = req.max_events, deferred] {
-        DiscoverServer& host = grp->core_at(owner);
-        proto::HistoryReply out;
-        int status = 200;
-        AppEntry* entry = host.find_app(app_id);
-        if (entry != nullptr && !entry->local) {
-          // Remote app owned by this core (§5j): the authoritative log is
-          // at the host server — fetch it from there.
+    // The application log (§5.2.5) lives on the owner core's archive — or,
+    // for a remote app, at its host, which the owner core asks.
+    s.reply_from_owner(
+        req.app_id, response, ctx,
+        [req](DiscoverServer& host,
+              std::function<void(http::HttpResponse)> done) {
+          proto::HistoryReply out;
+          AppEntry* entry = host.find_app(req.app_id);
+          if (entry == nullptr) {
+            out.message = "application not found";
+            done(body_response(404, proto::encode_body(out)));
+            return;
+          }
+          if (entry->local) {
+            out.ok = true;
+            out.events = host.archive_.app_history(req.app_id, req.from_seq,
+                                                   req.max_events);
+            done(body_response(200, proto::encode_body(out)));
+            return;
+          }
           wire::Encoder args;
-          args.u64(from_seq);
-          args.u32(max_events);
+          args.u64(req.from_seq);
+          args.u32(req.max_events);
           host.invoke_peer(
               entry->corba_proxy.node, entry->corba_proxy, "poll_events",
               std::move(args),
-              [grp, me, deferred](util::Result<util::Bytes> r) {
+              [done](util::Result<util::Bytes> r) {
                 proto::HistoryReply fetched;
-                int rstatus = 200;
                 if (!r.ok()) {
                   fetched.message = r.error().message;
-                  rstatus = 503;
-                } else {
-                  wire::Decoder d(r.value());
-                  const std::uint32_t n = d.u32();
-                  fetched.events.reserve(n);
-                  for (std::uint32_t i = 0; i < n; ++i) {
-                    fetched.events.push_back(proto::decode_client_event(d));
-                  }
-                  fetched.ok = true;
+                  done(body_response(503, proto::encode_body(fetched)));
+                  return;
                 }
-                grp->post_shard(me, [deferred, fetched = std::move(fetched),
-                                     rstatus] {
-                  deferred->complete(
-                      body_response(rstatus, proto::encode_body(fetched)));
-                });
+                wire::Decoder d(r.value());
+                const std::uint32_t n = d.u32();
+                fetched.events.reserve(n);
+                for (std::uint32_t i = 0; i < n; ++i) {
+                  fetched.events.push_back(proto::decode_client_event(d));
+                }
+                fetched.ok = true;
+                done(body_response(200, proto::encode_body(fetched)));
               },
               host.config_.orb_call_timeout);
-          return;
-        }
-        if (entry == nullptr) {
-          out.message = "application not found";
-          status = 404;
-        } else {
-          out.ok = true;
-          out.events = host.archive_.app_history(app_id, from_seq, max_events);
-        }
-        grp->post_shard(me, [deferred, out = std::move(out), status] {
-          deferred->complete(body_response(status, proto::encode_body(out)));
         });
-      });
-      return;
-    }
-
-    AppEntry* entry = s.find_app(req.app_id);
-    if (entry == nullptr) {
-      reply.message = "application not found";
-      set_body(response, proto::encode_body(reply));
-      response.status = 404;
-      return;
-    }
-    if (entry->local) {
-      // The application log lives here, at the host (§5.2.5).
-      reply.ok = true;
-      reply.events =
-          s.archive_.app_history(req.app_id, req.from_seq, req.max_events);
-      set_body(response, proto::encode_body(reply));
-      return;
-    }
-    // Remote history: fetch from the host's application log.
-    auto deferred = ctx.defer();
-    wire::Encoder args;
-    args.u64(req.from_seq);
-    args.u32(req.max_events);
-    s.invoke_peer(
-        entry->corba_proxy.node, entry->corba_proxy, "poll_events",
-        std::move(args),
-        [deferred](util::Result<util::Bytes> r) {
-          proto::HistoryReply out;
-          if (!r.ok()) {
-            out.message = r.error().message;
-            deferred->complete(body_response(503, proto::encode_body(out)));
-            return;
-          }
-          wire::Decoder d(r.value());
-          const std::uint32_t n = d.u32();
-          out.events.reserve(n);
-          for (std::uint32_t i = 0; i < n; ++i) {
-            out.events.push_back(proto::decode_client_event(d));
-          }
-          out.ok = true;
-          deferred->complete(body_response(200, proto::encode_body(out)));
-        },
-        s.config_.orb_call_timeout);
   }
 
  private:
@@ -1161,26 +848,17 @@ class DiscoverServer::VisualizationServlet final : public http::Servlet {
           400);
     }
 
-    // Cross-shard visualization (DESIGN.md §5i): the application log lives
-    // on the owner core; the whole report renders there, off our worker.
-    if (const std::uint32_t owner = s.shard_owner_of(app);
-        s.sharded() && owner != s.shard_index_) {
-      auto deferred = ctx.defer();
-      const std::uint32_t me = s.shard_index_;
-      DiscoverServer* grp = s.group_;
-      const std::string metric_name = *metric;
-      grp->post_shard(owner, [grp, owner, me, app, metric_name, width,
-                              deferred] {
-        auto resp = std::make_shared<http::HttpResponse>();
-        render(grp->core_at(owner), app, metric_name, width, *resp);
-        grp->post_shard(me, [deferred, resp] {
-          deferred->complete(std::move(*resp));
+    // The application log lives on the owner core; the whole report
+    // renders there.
+    s.reply_from_owner(
+        app, response, ctx,
+        [app, metric = *metric, width](
+            DiscoverServer& host,
+            std::function<void(http::HttpResponse)> done) {
+          http::HttpResponse out;
+          render(host, app, metric, width, out);
+          done(std::move(out));
         });
-      });
-      return;
-    }
-
-    render(s, app, *metric, width, response);
   }
 
  private:
@@ -1269,42 +947,30 @@ class DiscoverServer::MetricsServlet final : public http::Servlet {
     const auto format = request.query_param("format");
     const bool json = format && *format == "json";
 
-    // Sharded scrape (DESIGN.md §5i): every core keeps its own registry so
-    // the hot paths never share counters; one scrape visits each core on
-    // its own worker and merges the snapshots into a single exposition.
-    if (server_.sharded()) {
-      auto deferred = ctx.defer();
-      auto snaps = std::make_shared<std::vector<util::MetricsRegistry::Snapshot>>();
-      server_.gather_across_cores(
-          [snaps](DiscoverServer& core) {
-            snaps->push_back(core.metrics_.snapshot());
-          },
-          [snaps, deferred, json] {
-            const auto merged = util::MetricsRegistry::merge(*snaps);
-            http::HttpResponse resp;
-            resp.status = 200;
-            if (json) {
-              resp.headers.set("Content-Type", "application/json");
-              resp.body =
-                  util::to_bytes(util::MetricsRegistry::render_json(merged));
-            } else {
-              resp.headers.set("Content-Type", "text/plain");
-              resp.body = util::to_bytes(
-                  util::MetricsRegistry::render_prometheus(merged));
-            }
-            deferred->complete(std::move(resp));
-          });
-      return;
-    }
-
-    if (json) {
-      response.headers.set("Content-Type", "application/json");
-      response.body = util::to_bytes(server_.metrics_.json());
-    } else {
-      response.headers.set("Content-Type", "text/plain");
-      response.body = util::to_bytes(server_.metrics_.prometheus_text());
-    }
-    response.status = 200;
+    // Every core keeps its own registry so the hot paths never share
+    // counters; one scrape visits each core on its own worker and merges
+    // the snapshots into a single exposition.
+    auto reply = std::make_shared<HopReply>(response);
+    auto snaps =
+        std::make_shared<std::vector<util::MetricsRegistry::Snapshot>>();
+    server_.gather_across_cores(
+        [snaps](DiscoverServer& core) {
+          snaps->push_back(core.metrics_.snapshot());
+        },
+        [snaps, reply, json] {
+          const auto merged = util::MetricsRegistry::merge(*snaps);
+          http::HttpResponse out;
+          if (json) {
+            out.headers.set("Content-Type", "application/json");
+            out.body = util::to_bytes(util::MetricsRegistry::render_json(merged));
+          } else {
+            out.headers.set("Content-Type", "text/plain");
+            out.body = util::to_bytes(
+                util::MetricsRegistry::render_prometheus(merged));
+          }
+          reply->complete(std::move(out));
+        });
+    reply->release(ctx);
   }
 
  private:
@@ -1328,47 +994,35 @@ class DiscoverServer::TraceServlet final : public http::Servlet {
     const auto format = request.query_param("format");
     const bool json = format && *format == "json";
 
-    // Sharded scrape: each core keeps its own span ring; dump them in shard
-    // order.  Trace ids carry the shard index (util::Tracer shard minting),
-    // so the concatenation stays unambiguous.
-    if (server_.sharded()) {
-      auto deferred = ctx.defer();
-      auto parts = std::make_shared<std::vector<std::string>>();
-      server_.gather_across_cores(
-          [parts, json](DiscoverServer& core) {
-            parts->push_back(json ? core.tracer_.dump_json()
-                                  : core.tracer_.dump_text());
-          },
-          [parts, deferred, json] {
-            http::HttpResponse resp;
-            resp.status = 200;
-            std::string body;
-            if (json) {
-              body = "{\"shards\":[";
-              for (std::size_t i = 0; i < parts->size(); ++i) {
-                if (i != 0) body += ',';
-                body += (*parts)[i];
-              }
-              body += "]}";
-              resp.headers.set("Content-Type", "application/json");
-            } else {
-              for (const auto& part : *parts) body += part;
-              resp.headers.set("Content-Type", "text/plain");
+    // Each core keeps its own span ring; dump them in core order.  Trace
+    // ids carry the core index (util::Tracer shard minting), so the
+    // concatenation stays unambiguous.
+    auto reply = std::make_shared<HopReply>(response);
+    auto parts = std::make_shared<std::vector<std::string>>();
+    server_.gather_across_cores(
+        [parts, json](DiscoverServer& core) {
+          parts->push_back(json ? core.tracer_.dump_json()
+                                : core.tracer_.dump_text());
+        },
+        [parts, reply, json] {
+          http::HttpResponse out;
+          std::string body;
+          if (json && parts->size() > 1) {
+            body = "{\"shards\":[";
+            for (std::size_t i = 0; i < parts->size(); ++i) {
+              if (i != 0) body += ',';
+              body += (*parts)[i];
             }
-            resp.body = util::to_bytes(body);
-            deferred->complete(std::move(resp));
-          });
-      return;
-    }
-
-    if (json) {
-      response.headers.set("Content-Type", "application/json");
-      response.body = util::to_bytes(server_.tracer_.dump_json());
-    } else {
-      response.headers.set("Content-Type", "text/plain");
-      response.body = util::to_bytes(server_.tracer_.dump_text());
-    }
-    response.status = 200;
+            body += "]}";
+          } else {
+            for (const auto& part : *parts) body += part;
+          }
+          out.headers.set("Content-Type",
+                          json ? "application/json" : "text/plain");
+          out.body = util::to_bytes(body);
+          reply->complete(std::move(out));
+        });
+    reply->release(ctx);
   }
 
  private:

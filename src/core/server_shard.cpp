@@ -1,12 +1,13 @@
-// Sharded multi-core server internals (DESIGN.md §5i).
+// Multi-core server internals (DESIGN.md §5i).
 //
-// A DiscoverServer with shard_count > 1 on a sharding-capable network is a
-// group of N full server cores sharing one node id.  The user-facing
-// instance is core 0 and owns the dispatcher, the shard executor and the
-// inner cores; every core is one executor owner with its own queue and
-// worker, so all per-core state stays lock-free.  Cross-core interactions
-// — select grants, lock forgets, event fan-out, login/scrape gathers — are
-// the explicit queue hops implemented here.
+// Every DiscoverServer is a group of full server cores sharing one node
+// id, with the user-facing instance as core 0.  With shard_count > 1 on a
+// sharding-capable network core 0 also owns the dispatcher, the shard
+// executor and the inner cores; every core is one executor owner with its
+// own queue and worker, so all per-core state stays lock-free.  An
+// unsharded server is a group of one and runs the same code: the hops
+// implemented here — owner work for an app, lock forgets, event fan-out,
+// login/scrape gathers — are then direct calls.
 #include "core/server.h"
 
 #include <algorithm>
@@ -124,16 +125,27 @@ void DiscoverServer::route_message(const net::Message& msg) {
 }
 
 void DiscoverServer::post_shard(std::uint32_t idx, std::function<void()> fn) {
-  if (!sharded() || group_->pool_->on_owner(idx)) {
+  net::Executor* pool = group_->pool_.get();
+  if (pool == nullptr || pool->on_owner(idx)) {
     fn();
     return;
   }
-  group_->pool_->post(idx, std::move(fn));
+  pool->post(idx, std::move(fn));
+}
+
+void DiscoverServer::for_each_core(
+    const std::function<void(DiscoverServer&)>& fn) {
+  DiscoverServer* group = group_;
+  for (std::uint32_t i = 0; i < group_shards_; ++i) {
+    post_shard(i, [group, i, fn] { fn(group->core_at(i)); });
+  }
 }
 
 net::TimerId DiscoverServer::schedule_self(util::Duration delay,
                                            std::function<void()> fn) {
-  if (!sharded()) return network_.schedule(self_, delay, std::move(fn));
+  if (group_->pool_ == nullptr) {
+    return network_.schedule(self_, delay, std::move(fn));
+  }
   // The network timer fires on the node's home worker; hop onto this
   // core's shard queue so the callback touches core state safely.
   DiscoverServer* group = group_;
@@ -146,6 +158,11 @@ net::TimerId DiscoverServer::schedule_self(util::Duration delay,
 
 void DiscoverServer::gather_across_cores(
     std::function<void(DiscoverServer&)> visit, std::function<void()> done) {
+  if (group_->pool_ == nullptr) {
+    visit(*this);
+    done();
+    return;
+  }
   auto job = std::make_shared<GatherJob>();
   job->visit = std::move(visit);
   job->done = std::move(done);
@@ -165,88 +182,58 @@ void DiscoverServer::gather_step(const std::shared_ptr<GatherJob>& job,
   });
 }
 
-DiscoverServer::ShardSelectGrant DiscoverServer::grant_select_on_owner(
-    const proto::AppId& app, const std::string& user,
-    std::uint32_t client_shard, bool already_selected) {
-  ShardSelectGrant grant;
-  AppEntry* entry = find_app(app);
-  if (entry == nullptr || !entry->local) return grant;
-  grant.found = true;
-  grant.name = entry->name;
-  // Same check order as the unsharded select path: admission first (new
-  // subscribers only), then the application ACL.
-  if (config_.max_sessions_per_app != 0 && !already_selected &&
-      admission_watchers(app) >= config_.max_sessions_per_app) {
-    grant.admission_rejected = true;
-    return grant;
-  }
-  grant.privilege = entry->acl.privilege_of(user);
-  if (grant.privilege == security::Privilege::none) return grant;
-  if (!already_selected) ++entry->watcher_shards[client_shard];
-  grant.params = entry->params;
-  grant.history_seq = entry->event_seq;
-  return grant;
-}
-
-void DiscoverServer::select_on_owner_async(
-    const proto::AppId& app, const std::string& user,
-    std::uint32_t client_shard, bool already_selected,
-    std::function<void(ShardSelectGrant)> done) {
-  // Runs on the owning core; the grant is posted back to the client core.
-  auto reply = [this, client_shard,
-                done = std::move(done)](ShardSelectGrant g) {
-    post_shard(client_shard, [done, g] { done(g); });
-  };
-  {
-    ShardSelectGrant grant =
-        grant_select_on_owner(app, user, client_shard, already_selected);
-    if (grant.found) {
-      reply(std::move(grant));
+void DiscoverServer::select_on_owner(const proto::AppId& app,
+                                     const std::string& user,
+                                     std::uint32_t client_shard,
+                                     bool already_selected,
+                                     std::function<void(SelectGrant)> done) {
+  with_remote_app(app, [this, app, user, client_shard, already_selected,
+                        done = std::move(done)](AppEntry* entry) {
+    SelectGrant grant;
+    if (entry == nullptr) {
+      done(std::move(grant));
       return;
     }
-  }
-  // Not one of this core's local apps — maybe a remote app it owns (§5j):
-  // resolve, authenticate at the host, then subscribe the host's push
-  // stream to this core exactly as the unsharded remote select does.
-  with_remote_app(app, [this, app, user, client_shard, already_selected,
-                        reply](AppEntry* entry) {
-    if (entry == nullptr) {
-      reply(ShardSelectGrant{});
+    grant.found = true;
+    grant.name = entry->name;
+    // Admission first (new subscribers only), then level-2 authentication.
+    if (!admits(app, already_selected)) {
+      grant.admission_rejected = true;
+      done(std::move(grant));
       return;
     }
     if (entry->local) {
-      // Raced with a local registration: grant as usual.
-      reply(grant_select_on_owner(app, user, client_shard, already_selected));
+      grant.privilege = entry->acl.privilege_of(user);
+      if (grant.privilege != security::Privilege::none) {
+        if (!already_selected && client_shard != shard_index_) {
+          ++entry->watcher_shards[client_shard];
+        }
+        grant.params = entry->params;
+        grant.history_seq = entry->event_seq;
+      }
+      done(std::move(grant));
       return;
     }
-    ShardSelectGrant grant;
-    grant.found = true;
-    grant.name = entry->name;
-    if (config_.max_sessions_per_app != 0 && !already_selected &&
-        admission_watchers(app) >= config_.max_sessions_per_app) {
-      grant.admission_rejected = true;
-      reply(std::move(grant));
-      return;
-    }
+    // Remote application (§5j): level-2 authentication at the host through
+    // its CorbaProxy, then subscribe this core to its event stream.
     wire::Encoder args;
     args.str(user);
     invoke_peer(
         entry->corba_proxy.node, entry->corba_proxy, "get_interface",
         std::move(args),
-        [this, app, user, client_shard, already_selected,
-         reply](util::Result<util::Bytes> r) {
-          ShardSelectGrant g;
-          AppEntry* entry2 = find_app(app);
-          if (entry2 == nullptr) {
-            reply(std::move(g));
+        [this, app, client_shard, already_selected,
+         done](util::Result<util::Bytes> r) {
+          SelectGrant g;
+          AppEntry* remote = find_app(app);
+          if (remote == nullptr) {
+            done(std::move(g));
             return;
           }
           g.found = true;
-          g.name = entry2->name;
+          g.name = remote->name;
           if (!r.ok()) {
-            // Privilege stays none: the client core answers 403 like the
-            // unsharded remote path does on a failed get_interface.
-            reply(std::move(g));
+            g.error = r.error().message;
+            done(std::move(g));
             return;
           }
           wire::Decoder d(r.value());
@@ -257,38 +244,61 @@ void DiscoverServer::select_on_owner_async(
             g.params.push_back(proto::decode_param_spec(d));
           }
           g.history_seq = d.u64();
-          if (g.privilege == security::Privilege::none) {
-            reply(std::move(g));
-            return;
-          }
-          // Authoritative admission re-check after the host round-trip.
-          if (config_.max_sessions_per_app != 0 && !already_selected &&
-              admission_watchers(app) >= config_.max_sessions_per_app) {
+          // Authoritative re-check: concurrent selects may have filled the
+          // app while our get_interface was in flight.
+          if (!admits(app, already_selected)) {
             g.admission_rejected = true;
-            reply(std::move(g));
+            done(std::move(g));
             return;
           }
-          entry2->params = g.params;
-          if (!entry2->remote_subscribed && entry2->remote_known_seq == 0) {
-            entry2->remote_known_seq = g.history_seq;
+          remote->params = g.params;
+          if (!remote->remote_subscribed && remote->remote_known_seq == 0) {
+            // First subscription: events up to the level-2 handshake are
+            // history the watcher never asked for.  Anything the host
+            // publishes after this point must reach us — the subscribe
+            // reply backfills the gap instead of skipping over it.
+            remote->remote_known_seq = g.history_seq;
           }
-          if (!already_selected) ++entry2->watcher_shards[client_shard];
-          subscribe_remote(*entry2);
-          reply(std::move(g));
+          if (!already_selected && client_shard != shard_index_) {
+            ++remote->watcher_shards[client_shard];
+          }
+          subscribe_remote(*remote);
+          done(std::move(g));
         },
         config_.orb_call_timeout);
   });
+}
+
+bool DiscoverServer::admits(const proto::AppId& app,
+                            bool already_selected) const {
+  // Sessions that already selected the app pass: their re-select is
+  // idempotent.
+  return config_.max_sessions_per_app == 0 || already_selected ||
+         admission_watchers(app) < config_.max_sessions_per_app;
+}
+
+void DiscoverServer::release_watcher(const proto::AppId& app,
+                                     const std::string& user,
+                                     std::uint32_t client_shard) {
+  AppEntry* entry = find_app(app);
+  if (entry == nullptr) return;
+  if (entry->local) {
+    locks_.forget(app, LockIdentity{user, self_.value()});
+  } else {
+    // The lock interest of a remote app lives at its host server.
+    send_forget_locks(app, user, 1);
+  }
+  release_shard_watcher(app, client_shard);
 }
 
 void DiscoverServer::release_shard_watcher(const proto::AppId& app,
                                            std::uint32_t client_shard) {
   AppEntry* entry = find_app(app);
   if (entry == nullptr) return;
-  const auto it = entry->watcher_shards.find(client_shard);
-  if (it == entry->watcher_shards.end()) return;
-  if (--it->second == 0) entry->watcher_shards.erase(it);
-  // A remote entry whose last watcher (any core) left no longer needs the
-  // host-side subscription.
+  if (const auto it = entry->watcher_shards.find(client_shard);
+      it != entry->watcher_shards.end() && --it->second == 0) {
+    entry->watcher_shards.erase(it);
+  }
   if (!entry->local && entry->watcher_shards.empty() &&
       subscriber_count(app) == 0) {
     unsubscribe_remote(*entry);
@@ -308,10 +318,9 @@ void DiscoverServer::fan_out_to_watcher_shards(AppEntry& entry,
   const auto shared = std::make_shared<const proto::ClientEvent>(ev);
   const proto::AppId app = entry.id;
   for (const auto& [shard, count] : entry.watcher_shards) {
-    if (count == 0 || shard == shard_index_) continue;
+    if (count == 0) continue;
     DiscoverServer* core = &group_->core_at(shard);
-    group_->pool_->post(shard,
-                        [core, app, shared] { core->deliver_local(app, *shared); });
+    post_shard(shard, [core, app, shared] { core->deliver_local(app, *shared); });
   }
 }
 

@@ -1,5 +1,6 @@
 #include "util/metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace discover::util {
@@ -41,6 +42,13 @@ void MetricsRegistry::register_counter(const std::string& name,
   counters_[name].external = value;
 }
 
+void MetricsRegistry::register_peak(const std::string& name,
+                                    const std::uint64_t* value) {
+  CounterSlot& slot = counters_[name];
+  slot.external = value;
+  slot.peak = true;
+}
+
 ShardedCounter& MetricsRegistry::sharded_counter(const std::string& name,
                                                  std::size_t shards) {
   CounterSlot& slot = counters_[name];
@@ -71,6 +79,7 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   Snapshot snap;
   for (const auto& [name, slot] : counters_) {
     snap.counters[name] = slot.value();
+    if (slot.peak) snap.peaks.insert(name);
   }
   for (const auto& [name, sample] : gauges_) snap.gauges[name] = sample();
   for (const auto& [name, slot] : histograms_) {
@@ -83,7 +92,11 @@ MetricsRegistry::Snapshot MetricsRegistry::merge(
     const std::vector<Snapshot>& parts) {
   Snapshot out;
   for (const Snapshot& part : parts) {
-    for (const auto& [name, v] : part.counters) out.counters[name] += v;
+    for (const auto& [name, v] : part.counters) {
+      std::uint64_t& merged = out.counters[name];
+      merged = part.peaks.count(name) != 0 ? std::max(merged, v) : merged + v;
+    }
+    out.peaks.insert(part.peaks.begin(), part.peaks.end());
     for (const auto& [name, v] : part.gauges) out.gauges[name] += v;
     for (const auto& [name, h] : part.histograms) {
       out.histograms[name].merge(h);

@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,9 @@ class MetricsRegistry {
   /// Registers an externally-owned counter (e.g. a ServerStats field).
   /// The pointee must outlive the registry.
   void register_counter(const std::string& name, const std::uint64_t* value);
+  /// Same, for a high-water mark: rendered like any counter, but merged
+  /// across shards by max — one core's peak is not the node's.
+  void register_peak(const std::string& name, const std::uint64_t* value);
 
   /// Owned striped counter (see ShardedCounter), created on first use with
   /// `shards` slots.  Scrapes read it like any other counter (slots summed).
@@ -98,10 +102,13 @@ class MetricsRegistry {
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, std::int64_t> gauges;
     std::map<std::string, LatencyHistogram> histograms;
+    /// The counters that are high-water marks (register_peak).
+    std::set<std::string> peaks;
   };
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Element-wise union: counters and gauges sum, histograms merge.
+  /// Element-wise union: counters and gauges sum, peaks take the max,
+  /// histograms merge.
   static Snapshot merge(const std::vector<Snapshot>& parts);
 
   /// Byte-stable formatters over a snapshot.  prometheus_text()/json()
@@ -139,6 +146,7 @@ class MetricsRegistry {
     std::uint64_t owned = 0;
     const std::uint64_t* external = nullptr;   // wins when set
     std::unique_ptr<ShardedCounter> sharded;   // wins over both
+    bool peak = false;                         // merges by max
     std::uint64_t last_interval = 0;
     [[nodiscard]] std::uint64_t value() const {
       if (sharded) return sharded->value();

@@ -1,4 +1,5 @@
-// Fan-out fast path (DESIGN.md "Fan-out fast path"):
+// Fan-out through the per-app subscriber index (DESIGN.md "Fan-out fast
+// path"):
 //  * property test — the per-app subscriber index always agrees with a
 //    brute-force scan of the session table, across 10k randomized
 //    subscribe / unsubscribe / drop / crash operations;
@@ -6,9 +7,11 @@
 //    unsubscribes remote apps once their local watcher refcount hits zero;
 //  * wire compatibility — encode_poll_reply_shared is byte-identical to
 //    encode_body(PollReply);
-//  * equivalence — fast path and legacy scan deliver the same events.
+//  * equivalence — every client receives exactly the chats and responses
+//    the collaboration rules grant it, and the same update stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -248,16 +251,36 @@ TEST(FanoutWireCompat, SharedPollReplyEncodingIsByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence: fast path delivers exactly what the legacy scan delivered
+// Equivalence: the fan-out delivers what the collaboration rules say
 // ---------------------------------------------------------------------------
 
-std::vector<std::vector<proto::ClientEvent>> run_collab_round(
-    bool fast_path) {
-  workload::ScenarioConfig cfg;
-  cfg.server_template.fanout_fast_path = fast_path;
-  workload::Scenario scenario(cfg);
+// The oracle is written from the script's own setup, not from the server's
+// should_deliver: a chat or a response reaches its originator, plus every
+// member with collaboration on in the originator's sub-group when the
+// originator shares (collaboration on).  Push or poll changes only how an
+// event travels, never who gets it.
+struct Member {
+  std::string user;
+  std::string subgroup;
+  bool collab = true;
+  bool push = false;
+};
+
+bool rules_deliver(const Member& to, const Member& from) {
+  return to.user == from.user ||
+         (from.collab && to.collab && to.subgroup == from.subgroup);
+}
+
+TEST(FanoutEquivalence, DeliveriesMatchTheCollaborationRules) {
+  workload::Scenario scenario;
   auto& server = scenario.add_server("s", 1);
 
+  // Mixed delivery classes: u1 gets push, u2 joins a sub-group, u3 opts out
+  // of collaboration.
+  const std::vector<Member> members = {{"u0", "", true, false},
+                                       {"u1", "", true, true},
+                                       {"u2", "team", true, false},
+                                       {"u3", "", false, false}};
   app::AppConfig app_cfg;
   app_cfg.name = "sim";
   app_cfg.acl = workload::make_acl({{"u0", Privilege::steer},
@@ -266,53 +289,109 @@ std::vector<std::vector<proto::ClientEvent>> run_collab_round(
                                     {"u3", Privilege::read_write}});
   app_cfg.step_time = util::milliseconds(2);
   app_cfg.update_every = 5;
-  app_cfg.interact_every = 0;
+  app_cfg.interact_every = 10;
+  app_cfg.interaction_window = util::milliseconds(2);
   auto& app =
       scenario.add_app<app::SyntheticApp>(server, app_cfg, app::SyntheticSpec{});
-  if (!scenario.run_until([&] { return app.registered(); })) return {};
+  ASSERT_TRUE(scenario.run_until([&] { return app.registered(); }));
   const proto::AppId id = app.app_id();
 
   std::vector<core::DiscoverClient*> clients;
-  for (int i = 0; i < 4; ++i) {
-    auto& c = scenario.add_client("u" + std::to_string(i), server);
-    if (!workload::sync_login(scenario.net(), c).value().ok) return {};
-    if (!workload::sync_select(scenario.net(), c, id).value().ok) return {};
+  std::uint64_t all_selected_seq = 0;
+  for (const Member& m : members) {
+    auto& c = scenario.add_client(m.user, server);
+    ASSERT_TRUE(workload::sync_login(scenario.net(), c).value().ok);
+    const auto sel = workload::sync_select(scenario.net(), c, id);
+    ASSERT_TRUE(sel.ok() && sel.value().ok);
+    all_selected_seq = sel.value().history_seq;
+    if (m.push) {
+      ASSERT_TRUE(workload::sync_group_op(scenario.net(), c, id,
+                                          proto::GroupOp::enable_push, "")
+                      .value()
+                      .ok);
+    }
+    if (!m.subgroup.empty()) {
+      ASSERT_TRUE(workload::sync_group_op(scenario.net(), c, id,
+                                          proto::GroupOp::join_subgroup,
+                                          m.subgroup)
+                      .value()
+                      .ok);
+    }
+    if (!m.collab) {
+      ASSERT_TRUE(workload::sync_group_op(scenario.net(), c, id,
+                                          proto::GroupOp::disable_collab, "")
+                      .value()
+                      .ok);
+    }
     clients.push_back(&c);
   }
-  // Mixed delivery classes: u1 gets push, u2 joins a sub-group, u3 opts out
-  // of collaboration.
-  (void)workload::sync_group_op(scenario.net(), *clients[1], id,
-                                proto::GroupOp::enable_push, "");
-  (void)workload::sync_group_op(scenario.net(), *clients[2], id,
-                                proto::GroupOp::join_subgroup, "team");
-  (void)workload::sync_group_op(scenario.net(), *clients[3], id,
-                                proto::GroupOp::disable_collab, "");
 
-  (void)workload::sync_collab_post(scenario.net(), *clients[0], id,
-                                   proto::EventKind::chat, "hi all");
-  (void)workload::sync_collab_post(scenario.net(), *clients[2], id,
-                                   proto::EventKind::chat, "team only");
-  (void)workload::sync_command(scenario.net(), *clients[0], id,
-                               proto::CommandKind::query_status, "");
+  // Posts from the whole group and from inside the sub-group, and one
+  // shared command whose response the group may see.
+  const std::vector<std::pair<std::size_t, std::string>> posts = {
+      {0, "hi all"}, {2, "team only"}, {3, "solo"}};
+  for (const auto& [from, text] : posts) {
+    ASSERT_TRUE(workload::sync_collab_post(scenario.net(), *clients[from], id,
+                                           proto::EventKind::chat, text)
+                    .value()
+                    .ok);
+  }
+  ASSERT_TRUE(workload::sync_command(scenario.net(), *clients[0], id,
+                                     proto::CommandKind::query_status, "")
+                  .value()
+                  .accepted);
   scenario.run_for(util::milliseconds(500));
   for (int round = 0; round < 5; ++round) {
     for (auto* c : clients) (void)workload::sync_poll(scenario.net(), *c, id);
     scenario.run_for(util::milliseconds(50));
   }
 
-  std::vector<std::vector<proto::ClientEvent>> out;
-  for (auto* c : clients) out.push_back(c->received_events());
-  return out;
-}
-
-TEST(FanoutEquivalence, FastPathMatchesLegacyScan) {
-  const auto fast = run_collab_round(true);
-  const auto legacy = run_collab_round(false);
-  ASSERT_FALSE(fast.empty());
-  ASSERT_EQ(fast.size(), legacy.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast[i], legacy[i]) << "client " << i << " event divergence";
+  // Group-wide events (updates, system) published once everyone had
+  // selected, up to the newest one every client has drained by now.
+  const auto group_wide = [](const proto::ClientEvent& ev) {
+    return ev.kind == proto::EventKind::update ||
+           ev.kind == proto::EventKind::system;
+  };
+  std::uint64_t drained_by_all = ~std::uint64_t{0};
+  for (auto* c : clients) {
+    std::uint64_t newest = 0;
+    for (const auto& ev : c->received_events()) {
+      if (group_wide(ev)) newest = std::max(newest, ev.seq);
+    }
+    drained_by_all = std::min(drained_by_all, newest);
   }
+  std::vector<std::uint64_t> shared_stream;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    std::vector<std::string> chats;
+    std::size_t responses = 0;
+    std::vector<std::uint64_t> stream;
+    for (const auto& ev : clients[i]->received_events()) {
+      if (ev.kind == proto::EventKind::chat) chats.push_back(ev.text);
+      if (ev.kind == proto::EventKind::response) {
+        EXPECT_EQ(ev.user, "u0");
+        ++responses;
+      }
+      if (group_wide(ev) && ev.seq > all_selected_seq &&
+          ev.seq <= drained_by_all) {
+        stream.push_back(ev.seq);
+      }
+    }
+    std::vector<std::string> want_chats;
+    for (const auto& [from, text] : posts) {
+      if (rules_deliver(members[i], members[from])) want_chats.push_back(text);
+    }
+    EXPECT_EQ(chats, want_chats) << members[i].user;
+    EXPECT_EQ(responses, rules_deliver(members[i], members[0]) ? 1u : 0u)
+        << members[i].user;
+    if (i == 0) {
+      shared_stream = stream;
+      EXPECT_FALSE(shared_stream.empty());
+    } else {
+      EXPECT_EQ(stream, shared_stream) << members[i].user;
+    }
+  }
+  EXPECT_GT(clients[1]->pushed_events(), 0u);
+  EXPECT_TRUE(server.subscriber_index_consistent());
 }
 
 }  // namespace

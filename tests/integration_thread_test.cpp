@@ -3,6 +3,8 @@
 // per node and wall-clock timers.
 #include <gtest/gtest.h>
 
+#include <future>
+
 #include "app/heat2d.h"
 #include "workload/sync_ops.h"
 #include "workload/thread_scenario.h"
@@ -51,8 +53,15 @@ TEST(ThreadIntegrationTest, FullSteeringFlow) {
                                     proto::ParamValue{0.21});
   ASSERT_TRUE(ack.ok());
   EXPECT_TRUE(ack.value().accepted);
+  // Read alpha on the app's own worker (actor model): the command is
+  // applied there, so a cross-thread read of the raw member would race.
+  const auto read_alpha = [&] {
+    std::promise<double> p;
+    scenario.net().post(heat.node(), [&] { p.set_value(heat.alpha()); });
+    return p.get_future().get();
+  };
   ASSERT_TRUE(workload::wait_for(
-      scenario.net(), [&] { return std::abs(heat.alpha() - 0.21) < 1e-12; },
+      scenario.net(), [&] { return std::abs(read_alpha() - 0.21) < 1e-12; },
       util::seconds(10)));
 
   // Updates flow under real time as well.

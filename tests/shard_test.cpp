@@ -8,13 +8,24 @@
 //    shard_count = 1;
 //  * end-to-end — a shard_count = 4 server on the ThreadNetwork serves
 //    login/select/collab/steering/history across cores, the merged
-//    /metrics scrape sums per-core registries, and stats_sum() adds up.
+//    /metrics scrape sums per-core registries, and stats_sum() adds up;
+//  * equivalence — one scripted session set gets the same HTTP statuses,
+//    decoded replies and merged counters at 1 core and at 4: cross-core
+//    admission, a lock released by its holder's logout, visualization and
+//    history of another core's app, and high-water marks merged by max.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <functional>
 #include <future>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -144,6 +155,27 @@ TEST(ShardedCounter, RegistryScrapeSeesTheExactSum) {
   const auto snap = reg.snapshot();
   ASSERT_EQ(snap.counters.count("routed"), 1u);
   EXPECT_EQ(snap.counters.at("routed"), 40000u);
+}
+
+TEST(ShardedCounter, MergeKeepsHighWaterMarksAtTheirMax) {
+  util::MetricsRegistry a;
+  util::MetricsRegistry b;
+  const std::uint64_t peak_a = 7;
+  const std::uint64_t peak_b = 5;
+  a.register_peak("peak", &peak_a);
+  b.register_peak("peak", &peak_b);
+  a.counter("hits") = 3;
+  b.counter("hits") = 4;
+  const auto merged =
+      util::MetricsRegistry::merge({a.snapshot(), b.snapshot()});
+  EXPECT_EQ(merged.counters.at("peak"), 7u);
+  EXPECT_EQ(merged.counters.at("hits"), 7u);
+  // Same exposition as any counter: name, TYPE line and order unchanged.
+  EXPECT_EQ(util::MetricsRegistry::render_prometheus(merged),
+            "# TYPE hits counter\nhits 7\n# TYPE peak counter\npeak 7\n");
+  EXPECT_EQ(util::MetricsRegistry::render_prometheus(
+                util::MetricsRegistry::merge({a.snapshot()})),
+            a.prometheus_text());
 }
 
 TEST(ShardedCounter, MergeSumsPerCoreSnapshots) {
@@ -399,7 +431,7 @@ TEST(ShardedThreadServer, EndToEndAcrossCores) {
   }
 }
 
-TEST(ShardedThreadServer, ShardCountOneIsTheLegacyPath) {
+TEST(ShardedThreadServer, ShardCountOneIsAGroupOfOne) {
   core::ServerConfig tmpl;
   tmpl.shard_count = 1;
   workload::ThreadScenario scenario(tmpl);
@@ -408,6 +440,578 @@ TEST(ShardedThreadServer, ShardCountOneIsTheLegacyPath) {
   EXPECT_FALSE(server.sharded());
   EXPECT_EQ(server.shard_count(), 1u);
   scenario.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Shard-count equivalence: one scripted session set at 1 core and at 4
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kEquivShards = 4;
+constexpr int kEquivApps = 6;
+constexpr int kEquivBrowsers = 10;
+constexpr int kUpdatesPerApp = 3;
+
+// A browser-style portal node driven from the test thread: one HTTP request
+// at a time, raw status and body back, session cookie replayed.  Its own
+// node id decides which core serves it, like any client's.
+class Browser : public net::MessageHandler {
+ public:
+  void on_message(const net::Message& msg) override {
+    auto parsed = http::parse_response(msg.payload);
+    if (!parsed.ok()) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    replies_.push_back(std::move(parsed.value()));
+    cv_.notify_all();
+  }
+
+  http::HttpResponse call(net::Network& net, net::NodeId server,
+                          http::Method method, const std::string& path,
+                          util::Bytes body = {}) {
+    http::HttpRequest req;
+    req.method = method;
+    req.path = path;
+    req.body = std::move(body);
+    if (!cookie_.empty()) req.headers.set("Cookie", cookie_);
+    net.send(node, server, net::Channel::http, http::serialize(req));
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!cv_.wait_for(lock, std::chrono::seconds(30),
+                      [this] { return !replies_.empty(); })) {
+      ADD_FAILURE() << "no reply to " << path;
+      return http::HttpResponse{0, "", {}, {}};
+    }
+    http::HttpResponse resp = std::move(replies_.front());
+    replies_.pop_front();
+    if (const auto c = resp.headers.get("Set-Cookie")) cookie_ = *c;
+    return resp;
+  }
+
+  net::NodeId node{0};
+  security::SessionToken token;
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<http::HttpResponse> replies_;
+  std::string cookie_;
+};
+
+// App ids mint differently per shard count (the owning core is encoded in
+// the low bits), so transcripts name apps instead.
+struct AppNames {
+  std::map<proto::AppId, std::string> by_id;
+
+  [[nodiscard]] std::string of(const proto::AppId& id) const {
+    const auto it = by_id.find(id);
+    return it != by_id.end() ? it->second : "?" + id.to_string();
+  }
+  [[nodiscard]] std::string text(std::string s) const {
+    std::vector<std::pair<std::string, std::string>> subs;
+    for (const auto& [id, name] : by_id) subs.emplace_back(id.to_string(), name);
+    std::sort(subs.begin(), subs.end(), [](const auto& a, const auto& b) {
+      return a.first.size() > b.first.size();
+    });
+    for (const auto& [from, to] : subs) {
+      for (std::size_t at = s.find(from); at != std::string::npos;
+           at = s.find(from, at + to.size())) {
+        s.replace(at, from.size(), to);
+      }
+    }
+    return s;
+  }
+  [[nodiscard]] std::string event(const proto::ClientEvent& ev) const {
+    std::ostringstream o;
+    o << "{kind=" << static_cast<int>(ev.kind) << " seq=" << ev.seq
+      << " app=" << of(ev.app) << " user=" << ev.user
+      << " text=" << text(ev.text) << " rid=" << ev.request_id
+      << " param=" << ev.param
+      << " value=" << proto::param_value_to_string(ev.value)
+      << " it=" << ev.iteration << " sg=" << ev.subgroup
+      << " shared=" << ev.shared << " metrics=";
+    for (const auto& [k, v] : ev.metrics) o << k << ":" << v << ",";
+    o << "}";
+    return o.str();
+  }
+};
+
+// Runs one portal script against one fresh server and records every reply
+// as "<step> <status> <decoded, name-normalised reply>".
+class EquivRun {
+ public:
+  EquivRun(std::uint32_t shard_count, std::size_t max_sessions_per_app)
+      : scenario_(config(shard_count, max_sessions_per_app)),
+        server_(scenario_.add_server("equiv")) {
+    for (int i = 0; i < kEquivApps; ++i) {
+      app::AppConfig cfg;
+      cfg.name = "app" + std::to_string(i);
+      cfg.acl = make_acl({{"alice", Privilege::steer},
+                          {"bob", Privilege::steer},
+                          {"carol", Privilege::steer},
+                          {"dave", Privilege::steer},
+                          {"erin", Privilege::read_only}});
+      cfg.step_time = util::milliseconds(1);
+      // Three updates, then the interaction phase for the rest of the run:
+      // the app log is fixed before the script starts and commands are
+      // forwarded, never buffered.
+      cfg.update_every = 2;
+      cfg.interact_every = 2 * kUpdatesPerApp;
+      cfg.interaction_window = util::seconds(3600);
+      apps_.push_back(&scenario_.add_app<app::SyntheticApp>(
+          server_, cfg, app::SyntheticSpec{}));
+    }
+    for (int i = 0; i < kEquivBrowsers; ++i) {
+      auto browser = std::make_unique<Browser>();
+      browser->node = scenario_.net().add_node("browser" + std::to_string(i),
+                                               browser.get());
+      browsers_.push_back(std::move(browser));
+    }
+    scenario_.start();
+  }
+
+  ~EquivRun() { scenario_.stop(); }
+
+  /// Waits until every app has sent its updates and parked in the
+  /// interaction phase, then learns the app names.  The observer logins
+  /// this takes are timing-dependent; `observer_logins` counts them so the
+  /// counter comparison can discount them.
+  bool settle() {
+    const auto updates = static_cast<std::uint64_t>(kEquivApps) *
+                         kUpdatesPerApp;
+    if (!workload::wait_for(
+            scenario_.net(),
+            [&] { return server_.live_updates_processed() == updates; },
+            util::seconds(30))) {
+      return false;
+    }
+    Browser& observer = *browsers_.back();
+    return workload::wait_for(
+        scenario_.net(),
+        [&] {
+          ++observer_logins;
+          const auto reply = login(observer, "alice");
+          if (reply.applications.size() !=
+              static_cast<std::size_t>(kEquivApps)) {
+            return false;
+          }
+          for (const auto& info : reply.applications) {
+            if (info.phase != proto::AppPhase::interacting) return false;
+            names.by_id[info.id] = info.name;
+          }
+          return true;
+        },
+        util::seconds(30));
+  }
+
+  /// Owning core of app `i` (by the 4-core hash, in both runs).
+  [[nodiscard]] std::uint32_t app_core(int i) const {
+    return DiscoverServer::shard_of_node(apps_[i]->node().value(),
+                                         kEquivShards);
+  }
+  [[nodiscard]] std::uint32_t browser_core(int i) const {
+    return DiscoverServer::shard_of_node(browsers_[i]->node.value(),
+                                         kEquivShards);
+  }
+  [[nodiscard]] proto::AppId app_id(int i) const {
+    return apps_[i]->app_id();
+  }
+  Browser& browser(int i) { return *browsers_[i]; }
+  DiscoverServer& server() { return server_; }
+  workload::ThreadScenario& scenario() { return scenario_; }
+
+  proto::LoginReply login(Browser& b, const std::string& user,
+                          const std::string& step = "") {
+    proto::LoginRequest req;
+    req.user = user;
+    const auto resp = post(b, core::kPathLogin, proto::encode_body(req));
+    proto::LoginReply reply = proto::decode_login_reply(resp.body);
+    b.token = reply.token;
+    if (!step.empty()) {
+      // The directory comes in app-id order, which differs by core count.
+      auto apps = reply.applications;
+      std::sort(apps.begin(), apps.end(),
+                [](const proto::AppInfo& x, const proto::AppInfo& y) {
+                  return x.name < y.name;
+                });
+      std::ostringstream o;
+      o << "ok=" << reply.ok << " msg=" << reply.message
+        << " adm=" << static_cast<int>(reply.admission) << " apps=";
+      for (const auto& info : apps) {
+        o << info.name << "/" << static_cast<int>(info.privilege) << "/"
+          << static_cast<int>(info.phase) << "/" << info.update_seq << "/"
+          << info.lock_holder << "/" << info.lock_queue << ",";
+      }
+      record(step, resp, o.str());
+    }
+    return reply;
+  }
+
+  void select(Browser& b, const proto::AppId& app, const std::string& step) {
+    proto::SelectAppRequest req;
+    req.token = b.token;
+    req.app_id = app;
+    const auto resp = post(b, core::kPathSelect, proto::encode_body(req));
+    const auto reply = proto::decode_select_app_reply(resp.body);
+    std::ostringstream o;
+    o << "ok=" << reply.ok << " msg=" << names.text(reply.message)
+      << " priv=" << static_cast<int>(reply.privilege)
+      << " hist=" << reply.history_seq
+      << " adm=" << static_cast<int>(reply.admission)
+      << " retry=" << reply.retry_after
+      << " retry_hdr=" << resp.headers.get("Retry-After").value_or("")
+      << " spec=";
+    for (const auto& p : reply.interface_spec) {
+      o << p.name << "=" << proto::param_value_to_string(p.value) << ",";
+    }
+    record(step, resp, o.str());
+  }
+
+  void command(Browser& b, const proto::AppId& app, proto::CommandKind kind,
+               const std::string& param, const proto::ParamValue& value,
+               const std::string& step) {
+    proto::CommandRequest req;
+    req.token = b.token;
+    req.app_id = app;
+    req.request_id = ++next_rid_;
+    req.kind = kind;
+    req.param = param;
+    req.value = value;
+    const auto resp = post(b, core::kPathCommand, proto::encode_body(req));
+    const auto ack = proto::decode_command_ack(resp.body);
+    std::ostringstream o;
+    o << "accepted=" << ack.accepted << " msg=" << names.text(ack.message)
+      << " rid=" << ack.request_id;
+    record(step, resp, o.str());
+  }
+
+  void post_chat(Browser& b, const proto::AppId& app, const std::string& text,
+                 const std::string& step) {
+    proto::CollabPost req;
+    req.token = b.token;
+    req.app_id = app;
+    req.kind = proto::EventKind::chat;
+    req.text = text;
+    const auto resp = post(b, core::kPathCollabPost, proto::encode_body(req));
+    const auto ack = proto::decode_collab_ack(resp.body);
+    record(step, resp,
+           "ok=" + std::to_string(ack.ok) + " msg=" + names.text(ack.message));
+  }
+
+  /// Polls until `until` holds for the events drained so far (or polls
+  /// once when `until` is empty).  How many polls that takes depends on
+  /// timing, so only the concatenated events are recorded.
+  void poll(Browser& b, const proto::AppId& app, const std::string& step,
+            const std::function<bool(const std::vector<proto::ClientEvent>&)>&
+                until = {}) {
+    std::vector<proto::ClientEvent> events;
+    int last_status = 0;
+    std::string last_msg;
+    const bool done = workload::wait_for(
+        scenario_.net(),
+        [&] {
+          proto::PollRequest req;
+          req.token = b.token;
+          req.app_id = app;
+          const auto resp = post(b, core::kPathPoll, proto::encode_body(req));
+          const auto reply = proto::decode_poll_reply(resp.body);
+          last_status = resp.status;
+          last_msg = reply.message;
+          events.insert(events.end(), reply.events.begin(),
+                        reply.events.end());
+          return !until || until(events);
+        },
+        util::seconds(30));
+    EXPECT_TRUE(done) << step;
+    std::string line = "msg=" + names.text(last_msg) + " events=";
+    for (const auto& ev : events) line += names.event(ev);
+    transcript.push_back(step + " " + std::to_string(last_status) + " " +
+                         line);
+  }
+
+  void history(Browser& b, const proto::AppId& app, const std::string& step) {
+    proto::HistoryRequest req;
+    req.token = b.token;
+    req.app_id = app;
+    req.from_seq = 0;
+    req.max_events = 0;
+    const auto resp = post(b, core::kPathArchive, proto::encode_body(req));
+    const auto reply = proto::decode_history_reply(resp.body);
+    std::string line = "ok=" + std::to_string(reply.ok) +
+                       " msg=" + names.text(reply.message) + " events=";
+    for (const auto& ev : reply.events) line += names.event(ev);
+    record(step, resp, line);
+  }
+
+  void viz(Browser& b, const proto::AppId& app, const std::string& metric,
+           const std::string& step) {
+    const auto resp = b.call(scenario_.net(), server_.node(),
+                             http::Method::get,
+                             std::string(core::kPathViz) + "?app=" +
+                                 app.to_string() + "&metric=" + metric +
+                                 "&n=10");
+    record(step, resp,
+           "host=" + resp.headers.get(core::kHostHeader).value_or("") +
+               " body=" + names.text(util::to_string(resp.body)));
+  }
+
+  void logout(Browser& b, const std::string& step) {
+    proto::LogoutRequest req;
+    req.token = b.token;
+    const auto resp = post(b, core::kPathLogout, proto::encode_body(req));
+    const auto ack = proto::decode_collab_ack(resp.body);
+    record(step, resp, "ok=" + std::to_string(ack.ok) + " msg=" + ack.message);
+  }
+
+  /// Scrapes the merged /discover/metrics exposition into counter values.
+  std::map<std::string, std::uint64_t> scrape_counters(Browser& b) {
+    const auto resp = b.call(scenario_.net(), server_.node(),
+                             http::Method::get, core::kPathMetrics);
+    EXPECT_EQ(resp.status, 200);
+    std::map<std::string, std::uint64_t> out;
+    std::istringstream in(util::to_string(resp.body));
+    std::string line;
+    std::string counter;
+    while (std::getline(in, line)) {
+      if (line.rfind("# TYPE ", 0) == 0) {
+        const auto sp = line.rfind(' ');
+        counter = line.substr(sp + 1) == "counter"
+                      ? line.substr(7, sp - 7)
+                      : std::string();
+        continue;
+      }
+      if (!counter.empty() && line.rfind(counter + " ", 0) == 0) {
+        out[counter] = std::stoull(line.substr(counter.size() + 1));
+      }
+    }
+    return out;
+  }
+
+  std::vector<std::string> transcript;
+  AppNames names;
+  int observer_logins = 0;
+
+ private:
+  static core::ServerConfig config(std::uint32_t shard_count,
+                                   std::size_t max_sessions_per_app) {
+    core::ServerConfig cfg;
+    cfg.shard_count = shard_count;
+    cfg.max_sessions_per_app = max_sessions_per_app;
+    // Parked apps stay silent for the whole run; keep them registered.
+    cfg.app_liveness_factor = 0;
+    return cfg;
+  }
+
+  http::HttpResponse post(Browser& b, const char* path, util::Bytes body) {
+    return b.call(scenario_.net(), server_.node(), http::Method::post, path,
+                  std::move(body));
+  }
+
+  void record(const std::string& step, const http::HttpResponse& resp,
+              const std::string& line) {
+    transcript.push_back(step + " " + std::to_string(resp.status) + " " +
+                         line);
+  }
+
+  workload::ThreadScenario scenario_;
+  DiscoverServer& server_;
+  std::vector<app::SyntheticApp*> apps_;
+  std::vector<std::unique_ptr<Browser>> browsers_;
+  std::uint64_t next_rid_ = 0;
+};
+
+/// Picks the first index in [0, n) whose value satisfies `ok`.
+int pick(int n, const std::function<bool(int)>& ok) {
+  for (int i = 0; i < n; ++i) {
+    if (ok(i)) return i;
+  }
+  ADD_FAILURE() << "no candidate satisfies the core layout";
+  return 0;
+}
+
+struct EquivResult {
+  std::vector<std::string> transcript;
+  std::map<std::string, std::uint64_t> counters;
+};
+
+// Per-app admission across cores: with max_sessions_per_app = 1, a second
+// session on another core is refused until the first one leaves.
+EquivResult run_admission_script(std::uint32_t shard_count) {
+  EquivRun run(shard_count, /*max_sessions_per_app=*/1);
+  EXPECT_TRUE(run.settle());
+  const int a = 0;
+  const int b = pick(kEquivBrowsers - 1, [&](int i) {
+    return run.browser_core(i) != run.browser_core(a);
+  });
+  const int x = pick(kEquivApps, [&](int i) {
+    return run.app_core(i) != run.browser_core(a) &&
+           run.app_core(i) != run.browser_core(b);
+  });
+  const proto::AppId app = run.app_id(x);
+  run.login(run.browser(a), "alice", "login-a");
+  run.login(run.browser(b), "bob", "login-b");
+  run.select(run.browser(a), app, "select-a");
+  run.select(run.browser(b), app, "select-b-full");
+  run.select(run.browser(a), app, "reselect-a");
+  run.logout(run.browser(a), "logout-a");
+  run.select(run.browser(b), app, "select-b-admitted");
+  auto counters = run.scrape_counters(run.browser(b));
+  counters["logins_ok"] -= static_cast<std::uint64_t>(run.observer_logins);
+  return {run.transcript, counters};
+}
+
+// Cross-core owner work: the lock of an app on core B held by a session on
+// core A and released by its logout, visualization and history of an app
+// owned by another core, chat and steering relayed through the owner.
+EquivResult run_owner_script(std::uint32_t shard_count,
+                             core::ServerStats* stats_out = nullptr,
+                             std::map<std::string, std::uint64_t>*
+                                 raw_counters = nullptr) {
+  EquivRun run(shard_count, /*max_sessions_per_app=*/0);
+  EXPECT_TRUE(run.settle());
+  const int holder = 0;
+  const int y = pick(kEquivApps, [&](int i) {
+    return run.app_core(i) != run.browser_core(holder);
+  });
+  const int waiter = pick(kEquivBrowsers - 1, [&](int i) {
+    return run.browser_core(i) != run.browser_core(holder) &&
+           run.browser_core(i) != run.app_core(y);
+  });
+  const int viewer = pick(kEquivBrowsers - 1, [&](int i) {
+    return i != holder && i != waiter;
+  });
+  const int x = pick(kEquivApps, [&](int i) {
+    return i != y && run.app_core(i) != run.browser_core(viewer);
+  });
+  const proto::AppId app_y = run.app_id(y);
+  const proto::AppId app_x = run.app_id(x);
+  Browser& h = run.browser(holder);
+  Browser& w = run.browser(waiter);
+  Browser& v = run.browser(viewer);
+  const auto has_lock_notice = [](const std::string& user,
+                                  const std::string& what) {
+    return [user, what](const std::vector<proto::ClientEvent>& evs) {
+      return std::any_of(evs.begin(), evs.end(), [&](const auto& ev) {
+        return ev.kind == proto::EventKind::lock_notice && ev.user == user &&
+               ev.text == what;
+      });
+    };
+  };
+
+  run.login(h, "carol", "login-holder");
+  run.login(w, "dave", "login-waiter");
+  run.login(v, "erin", "login-viewer");
+
+  run.select(h, app_y, "holder-select");
+  run.command(h, app_y, proto::CommandKind::acquire_lock, "", {},
+              "holder-acquire");
+  run.poll(h, app_y, "holder-granted", has_lock_notice("carol", "granted"));
+  run.select(w, app_y, "waiter-select");
+  run.command(w, app_y, proto::CommandKind::acquire_lock, "", {},
+              "waiter-acquire");
+  run.command(w, app_y, proto::CommandKind::set_param, "param_0",
+              proto::ParamValue{2.5}, "waiter-steer-unlocked");
+  run.post_chat(h, app_y, "over to you", "holder-chat");
+  run.logout(h, "holder-logout");
+  run.poll(w, app_y, "waiter-granted", has_lock_notice("dave", "granted"));
+  run.command(w, app_y, proto::CommandKind::set_param, "param_0",
+              proto::ParamValue{2.5}, "waiter-steer");
+  run.poll(w, app_y, "waiter-response",
+           [](const std::vector<proto::ClientEvent>& evs) {
+             return std::any_of(evs.begin(), evs.end(), [](const auto& ev) {
+               return ev.kind == proto::EventKind::response;
+             });
+           });
+
+  run.viz(v, app_x, "metric_0", "viewer-viz-unselected");
+  run.select(v, app_x, "viewer-select");
+  run.history(v, app_x, "viewer-history");
+  run.history(v, app_y, "viewer-history-unselected");
+  run.viz(v, app_x, "metric_0", "viewer-viz");
+  run.viz(v, app_x, "no_such_metric", "viewer-viz-missing");
+  run.command(v, app_x, proto::CommandKind::set_param, "param_0",
+              proto::ParamValue{1.0}, "viewer-steer-denied");
+  run.post_chat(v, app_x, "just watching", "viewer-chat");
+  run.poll(v, app_x, "viewer-poll",
+           [](const std::vector<proto::ClientEvent>& evs) {
+             return std::any_of(evs.begin(), evs.end(), [](const auto& ev) {
+               return ev.kind == proto::EventKind::chat;
+             });
+           });
+
+  auto counters = run.scrape_counters(v);
+  if (raw_counters != nullptr) *raw_counters = counters;
+  counters["logins_ok"] -= static_cast<std::uint64_t>(run.observer_logins);
+  run.scenario().stop();
+  if (stats_out != nullptr) *stats_out = run.server().stats_sum();
+  return {run.transcript, counters};
+}
+
+/// Counters that legitimately depend on the core count: the dispatcher's
+/// routing counter exists only sharded, a high-water mark is the largest
+/// per-core peak (one core's backlog is not the node's), and the number of
+/// polls a wait loop takes is timing.
+bool core_count_dependent(const std::string& name) {
+  return name == "shard_routed_total" || name == "peak_fifo_backlog" ||
+         name == "peak_fifo_backlog_bytes" || name == "polls_served";
+}
+
+void expect_equivalent(const EquivResult& one, const EquivResult& four) {
+  ASSERT_FALSE(one.transcript.empty());
+  ASSERT_EQ(one.transcript.size(), four.transcript.size());
+  for (std::size_t i = 0; i < one.transcript.size(); ++i) {
+    EXPECT_EQ(one.transcript[i], four.transcript[i]) << "step " << i;
+  }
+  std::map<std::string, std::uint64_t> a;
+  std::map<std::string, std::uint64_t> b;
+  for (const auto& [name, v] : one.counters) {
+    if (!core_count_dependent(name)) a[name] = v;
+  }
+  for (const auto& [name, v] : four.counters) {
+    if (!core_count_dependent(name)) b[name] = v;
+  }
+  EXPECT_EQ(a, b);
+}
+
+TEST(ShardEquivalence, EveryCoreOwnsAnApp) {
+  EquivRun run(kEquivShards, 0);
+  ASSERT_TRUE(run.server().sharded());
+  std::set<std::uint32_t> owners;
+  for (int i = 0; i < kEquivApps; ++i) owners.insert(run.app_core(i));
+  EXPECT_EQ(owners.size(), kEquivShards);
+}
+
+TEST(ShardEquivalence, CrossCoreAdmissionMatchesOneCore) {
+  const EquivResult one = run_admission_script(1);
+  const EquivResult four = run_admission_script(kEquivShards);
+  expect_equivalent(one, four);
+  // The refusal really happened, with its Retry-After.
+  EXPECT_NE(one.transcript[3].find("select-b-full 503"), std::string::npos)
+      << one.transcript[3];
+  EXPECT_EQ(one.counters.at("admission_rejected_selects"), 1u);
+}
+
+TEST(ShardEquivalence, CrossCoreOwnerWorkMatchesOneCore) {
+  const EquivResult one = run_owner_script(1);
+  core::ServerStats sum;
+  std::map<std::string, std::uint64_t> scraped;
+  const EquivResult four = run_owner_script(kEquivShards, &sum, &scraped);
+  expect_equivalent(one, four);
+  // High-water marks merge by max, as stats_sum() does: the scrape reports
+  // the node's peak, not the sum of per-core peaks.
+  EXPECT_GT(sum.peak_fifo_backlog, 0u);
+  EXPECT_EQ(scraped.at("peak_fifo_backlog"), sum.peak_fifo_backlog);
+  EXPECT_EQ(scraped.at("peak_fifo_backlog_bytes"),
+            sum.peak_fifo_backlog_bytes);
+  EXPECT_EQ(scraped.at("peer_batch_events_max"), sum.peer_batch_events_max);
+  const auto line = [&](const std::string& step) {
+    for (const auto& l : one.transcript) {
+      if (l.rfind(step + " ", 0) == 0) return l;
+    }
+    return std::string();
+  };
+  EXPECT_NE(line("viewer-viz").find("viewer-viz 200"), std::string::npos);
+  EXPECT_NE(line("viewer-viz").find("samples=3"), std::string::npos);
+  EXPECT_NE(line("waiter-steer").find("forwarded to application"),
+            std::string::npos);
+  EXPECT_EQ(one.counters.at("lock_notices"), 2u);
 }
 
 }  // namespace
