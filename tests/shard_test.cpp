@@ -12,7 +12,9 @@
 //  * equivalence — one scripted session set gets the same HTTP statuses,
 //    decoded replies and merged counters at 1 core and at 4: cross-core
 //    admission, a lock released by its holder's logout, visualization and
-//    history of another core's app, and high-water marks merged by max.
+//    history of another core's app, high-water marks merged by max, and
+//    every servlet's refusal of a bad token, a missing login session and
+//    an unselected app.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -760,6 +762,70 @@ class EquivRun {
     record(step, resp, "ok=" + std::to_string(ack.ok) + " msg=" + ack.message);
   }
 
+  /// Sends one request to `path` carrying `token` and naming `app` (where
+  /// the path takes one), and records its status and decoded message.
+  void refusal(Browser& b, const char* path,
+               const security::SessionToken& token, const proto::AppId& app,
+               const std::string& step) {
+    const std::string p = path;
+    std::string msg;
+    http::HttpResponse resp;
+    if (p == core::kPathViz) {
+      resp = b.call(scenario_.net(), server_.node(), http::Method::get,
+                    p + "?app=" + app.to_string() + "&metric=metric_0");
+      msg = util::to_string(resp.body);
+    } else if (p == core::kPathSelect || p == core::kPathRedirect) {
+      proto::SelectAppRequest req;
+      req.token = token;
+      req.app_id = app;
+      resp = post(b, path, proto::encode_body(req));
+      msg = p == core::kPathSelect
+                ? proto::decode_select_app_reply(resp.body).message
+                : "host=" + resp.headers.get(core::kHostHeader).value_or("") +
+                      " body=" + util::to_string(resp.body);
+    } else if (p == core::kPathCommand) {
+      proto::CommandRequest req;
+      req.token = token;
+      req.app_id = app;
+      req.request_id = ++next_rid_;
+      resp = post(b, path, proto::encode_body(req));
+      msg = proto::decode_command_ack(resp.body).message;
+    } else if (p == core::kPathPoll) {
+      proto::PollRequest req;
+      req.token = token;
+      req.app_id = app;
+      resp = post(b, path, proto::encode_body(req));
+      msg = proto::decode_poll_reply(resp.body).message;
+    } else if (p == core::kPathCollabPost) {
+      proto::CollabPost req;
+      req.token = token;
+      req.app_id = app;
+      req.text = "hi";
+      resp = post(b, path, proto::encode_body(req));
+      msg = proto::decode_collab_ack(resp.body).message;
+    } else if (p == core::kPathGroup) {
+      proto::GroupRequest req;
+      req.token = token;
+      req.app_id = app;
+      req.op = proto::GroupOp::join_subgroup;
+      req.subgroup = "g";
+      resp = post(b, path, proto::encode_body(req));
+      msg = proto::decode_collab_ack(resp.body).message;
+    } else if (p == core::kPathArchive) {
+      proto::HistoryRequest req;
+      req.token = token;
+      req.app_id = app;
+      resp = post(b, path, proto::encode_body(req));
+      msg = proto::decode_history_reply(resp.body).message;
+    } else if (p == core::kPathLogout) {
+      proto::LogoutRequest req;
+      req.token = token;
+      resp = post(b, path, proto::encode_body(req));
+      msg = proto::decode_collab_ack(resp.body).message;
+    }
+    record(step, resp, "msg=" + names.text(msg));
+  }
+
   /// Scrapes the merged /discover/metrics exposition into counter values.
   std::map<std::string, std::uint64_t> scrape_counters(Browser& b) {
     const auto resp = b.call(scenario_.net(), server_.node(),
@@ -944,6 +1010,66 @@ EquivResult run_owner_script(std::uint32_t shard_count,
   return {run.transcript, counters};
 }
 
+// Every servlet refusal: (a) a forged and an expired token, (b) a valid
+// token replayed from an HTTP session that never logged in, and (c) a
+// logged-in session naming an app it never selected.  The session and the
+// apps sit on three different cores.
+EquivResult run_refusal_script(std::uint32_t shard_count) {
+  EquivRun run(shard_count, /*max_sessions_per_app=*/0);
+  EXPECT_TRUE(run.settle());
+  const int a = 0;
+  const int b = pick(kEquivBrowsers - 1, [&](int i) {
+    return run.browser_core(i) != run.browser_core(a);
+  });
+  const int y = pick(kEquivApps, [&](int i) {
+    return run.app_core(i) != run.browser_core(a);
+  });
+  const int x = pick(kEquivApps, [&](int i) {
+    return i != y && run.app_core(i) != run.browser_core(a) &&
+           run.app_core(i) != run.app_core(y);
+  });
+  const proto::AppId selected = run.app_id(y);
+  const proto::AppId unselected = run.app_id(x);
+  const proto::AppId unknown{run.server().node().value(), 0xffff0};
+  run.names.by_id[unknown] = "unknown";
+  Browser& in = run.browser(a);
+  Browser& out = run.browser(b);
+  run.login(in, "alice", "login");
+  run.select(in, selected, "select");
+  const security::SessionToken valid = in.token;
+  security::SessionToken forged = valid;
+  forged.mac ^= 1;
+  const security::SessionToken expired =
+      security::TokenAuthority(run.server().node().value(),
+                               core::ServerConfig{}.token_secret)
+          .issue("alice", 0, 1);
+
+  const char* token_paths[] = {core::kPathSelect,     core::kPathCommand,
+                               core::kPathPoll,       core::kPathCollabPost,
+                               core::kPathGroup,      core::kPathArchive,
+                               core::kPathRedirect,   core::kPathLogout};
+  for (const char* path : token_paths) {
+    run.refusal(in, path, forged, selected, std::string(path) + " forged");
+    run.refusal(in, path, expired, selected, std::string(path) + " expired");
+    run.refusal(out, path, valid, selected, std::string(path) + " foreign");
+  }
+  run.refusal(out, core::kPathViz, valid, selected,
+              std::string(core::kPathViz) + " foreign");
+  const char* app_paths[] = {core::kPathCommand,   core::kPathPoll,
+                             core::kPathCollabPost, core::kPathGroup,
+                             core::kPathArchive,   core::kPathViz,
+                             core::kPathRedirect};
+  for (const char* path : app_paths) {
+    run.refusal(in, path, valid, unselected,
+                std::string(path) + " unselected");
+  }
+  run.refusal(in, core::kPathSelect, valid, unknown,
+              std::string(core::kPathSelect) + " unknown");
+  auto counters = run.scrape_counters(in);
+  counters["logins_ok"] -= static_cast<std::uint64_t>(run.observer_logins);
+  return {run.transcript, counters};
+}
+
 /// Counters that legitimately depend on the core count: the dispatcher's
 /// routing counter exists only sharded, a high-water mark is the largest
 /// per-core peak (one core's backlog is not the node's), and the number of
@@ -986,6 +1112,54 @@ TEST(ShardEquivalence, CrossCoreAdmissionMatchesOneCore) {
   EXPECT_NE(one.transcript[3].find("select-b-full 503"), std::string::npos)
       << one.transcript[3];
   EXPECT_EQ(one.counters.at("admission_rejected_selects"), 1u);
+}
+
+TEST(ShardEquivalence, RefusalsMatchOneCore) {
+  const EquivResult one = run_refusal_script(1);
+  const EquivResult four = run_refusal_script(kEquivShards);
+  expect_equivalent(one, four);
+  // Pinned: every refusal keeps its status and message.  The server
+  // node's id (1) is the redirect's host header.
+  const std::vector<std::string> expected = {
+      "/discover/master/select forged 401 msg=token MAC mismatch",
+      "/discover/master/select expired 401 msg=token expired",
+      "/discover/master/select foreign 401 msg=no active login session",
+      "/discover/command forged 401 msg=token MAC mismatch",
+      "/discover/command expired 401 msg=token expired",
+      "/discover/command foreign 401 msg=no active login session",
+      "/discover/collab/poll forged 401 msg=token MAC mismatch",
+      "/discover/collab/poll expired 401 msg=token expired",
+      "/discover/collab/poll foreign 401 msg=no active login session",
+      "/discover/collab/post forged 401 msg=token MAC mismatch",
+      "/discover/collab/post expired 401 msg=token expired",
+      "/discover/collab/post foreign 401 msg=no active login session",
+      "/discover/collab/group forged 401 msg=token MAC mismatch",
+      "/discover/collab/group expired 401 msg=token expired",
+      "/discover/collab/group foreign 401 msg=no active login session",
+      "/discover/archive forged 401 msg=token MAC mismatch",
+      "/discover/archive expired 401 msg=token expired",
+      "/discover/archive foreign 400 msg=application not selected",
+      "/discover/redirect forged 401 msg=host= body=token MAC mismatch",
+      "/discover/redirect expired 401 msg=host= body=token expired",
+      "/discover/redirect foreign 200 msg=host=1 body=",
+      "/discover/master/logout forged 401 msg=token MAC mismatch",
+      "/discover/master/logout expired 401 msg=token expired",
+      "/discover/master/logout foreign 200 msg=logged out",
+      "/discover/viz foreign 403 msg=select the application first",
+      "/discover/command unselected 400 msg=application not selected",
+      "/discover/collab/poll unselected 400 msg=application not selected",
+      "/discover/collab/post unselected 400 msg=application not selected",
+      "/discover/collab/group unselected 400 msg=application not selected",
+      "/discover/archive unselected 400 msg=application not selected",
+      "/discover/viz unselected 403 msg=select the application first",
+      "/discover/redirect unselected 200 msg=host=1 body=",
+      "/discover/master/select unknown 404 msg=application not found: unknown",
+  };
+  ASSERT_EQ(one.transcript.size(), expected.size() + 2);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(one.transcript[i + 2], expected[i]);
+  }
+  EXPECT_EQ(one.counters.at("selects_failed"), 4u);
 }
 
 TEST(ShardEquivalence, CrossCoreOwnerWorkMatchesOneCore) {
