@@ -3,7 +3,8 @@
 # starts threads again under ThreadSanitizer (the fault-injection paths,
 # the shard cores, federation, the OS-socket transport and the threaded
 # ThreadNetwork suites touch shared state from worker threads; TSan proves
-# the locking), and the OS-socket transport suite under AddressSanitizer.
+# the locking), and the whole suite again under AddressSanitizer +
+# UndefinedBehaviorSanitizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,13 +56,14 @@ echo "== tier 1h: OS-socket transport suite under TSan =="
 cmake --build build-tsan -j "$(nproc)" --target os_network_test executor_test
 (cd build-tsan && ctest -L osnet --output-on-failure)
 
-echo "== tier 1i: OS-socket transport suite under ASan =="
-# flush() hands writev raw pointers into queued frames while unlocked, and
-# one call may span up to IOV_MAX iovecs; ASan proves every range it passes
-# stays live while senders push behind it.
-cmake -B build-asan -S . -DDISCOVER_SANITIZE=address >/dev/null
-cmake --build build-asan -j "$(nproc)" --target os_network_test executor_test
-(cd build-asan && ctest -L osnet --output-on-failure)
+echo "== tier 1i: full ctest under ASan + UBSan =="
+# The fan-out index holds raw session and subscription pointers, and
+# OsNetwork's flush() hands writev raw pointers into queued frames while
+# unlocked; ASan proves every one stays live, and UBSan (no recovery) fails
+# a test on the first undefined operation.
+cmake -B build-asan -S . -DDISCOVER_SANITIZE=address,undefined >/dev/null
+cmake --build build-asan -j "$(nproc)"
+(cd build-asan && ctest --output-on-failure -j "$(nproc)")
 
 echo "== tier 1j: threaded suites under TSan =="
 # Every other test that starts threads: the unsharded ThreadNetwork server
