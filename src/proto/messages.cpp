@@ -16,15 +16,6 @@ enum class Tag : std::uint8_t {
   system_event = 9,
 };
 
-void encode_param_specs(wire::Encoder& e, const std::vector<ParamSpec>& v) {
-  e.sequence(v, [](wire::Encoder& enc, const ParamSpec& p) { encode(enc, p); });
-}
-
-std::vector<ParamSpec> decode_param_specs(wire::Decoder& d) {
-  return d.sequence<ParamSpec>(
-      [](wire::Decoder& dec) { return decode_param_spec(dec); });
-}
-
 void encode_msg(wire::Encoder& e, const AppRegister& m) {
   e.str(m.app_name);
   e.str(m.description);
@@ -314,16 +305,24 @@ const char* admission_error_name(AdmissionError e) {
   return "?";
 }
 
-namespace {
 void encode_events(wire::Encoder& e, const std::vector<ClientEvent>& v) {
   e.sequence(v,
              [](wire::Encoder& enc, const ClientEvent& ev) { encode(enc, ev); });
 }
+
 std::vector<ClientEvent> decode_events(wire::Decoder& d) {
   return d.sequence<ClientEvent>(
       [](wire::Decoder& dec) { return decode_client_event(dec); });
 }
-}  // namespace
+
+void encode_param_specs(wire::Encoder& e, const std::vector<ParamSpec>& v) {
+  e.sequence(v, [](wire::Encoder& enc, const ParamSpec& p) { encode(enc, p); });
+}
+
+std::vector<ParamSpec> decode_param_specs(wire::Decoder& d) {
+  return d.sequence<ParamSpec>(
+      [](wire::Decoder& dec) { return decode_param_spec(dec); });
+}
 
 util::Bytes encode_body(const LoginRequest& m) {
   wire::Encoder e;

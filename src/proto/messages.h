@@ -146,6 +146,13 @@ struct EventFrame {
 void encode_event_frames(wire::Encoder& e, const std::vector<EventFrame>& v);
 std::vector<EventFrame> decode_event_frames(wire::Decoder& d);
 
+/// Length-prefixed sequences, as the ORB methods carry events and steering
+/// interfaces (decoding bounds the pre-reservation by the bytes present).
+void encode_events(wire::Encoder& e, const std::vector<ClientEvent>& v);
+std::vector<ClientEvent> decode_events(wire::Decoder& d);
+void encode_param_specs(wire::Encoder& e, const std::vector<ParamSpec>& v);
+std::vector<ParamSpec> decode_param_specs(wire::Decoder& d);
+
 // ---------------------------------------------------------------------------
 // Server <-> server versioned directory (DiscoverCorbaServer
 // "list_apps_since").  The host bumps `version` on every local membership
