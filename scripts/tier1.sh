@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite, then every suite that
-# starts threads again under ThreadSanitizer (the fault-injection paths,
-# the shard cores, federation, the OS-socket transport and the threaded
-# ThreadNetwork suites touch shared state from worker threads; TSan proves
-# the locking), and the whole suite again under AddressSanitizer +
-# UndefinedBehaviorSanitizer.
+# Tier-1 verification: full build (any compiler warning fails it) + test
+# suite, then every suite that starts threads again under ThreadSanitizer
+# (the fault-injection paths, the shard cores, federation, the OS-socket
+# transport and the threaded ThreadNetwork suites touch shared state from
+# worker threads; TSan proves the locking), and the whole suite again under
+# AddressSanitizer + UndefinedBehaviorSanitizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier 1: build + full ctest =="
-cmake -B build -S . >/dev/null
+echo "== tier 1: build (warnings as errors) + full ctest =="
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 

@@ -875,13 +875,12 @@ class DiscoverServer final : public net::MessageHandler {
   /// Keyed by peer node, NOT tied to peers_ lifetime: push targets come
   /// from ApplicationProxy::subscribers and may precede trader discovery.
   std::map<std::uint32_t, PeerOutbox> outboxes_;
-  /// Core 0: the directory change log, (version, app) per change.  It is
-  /// bounded; callers behind its tail get a full snapshot.
-  struct DirLogEntry {
-    std::uint64_t version = 0;
-    proto::AppId app;
-  };
-  std::deque<DirLogEntry> dir_log_;
+  /// Core 0: the directory change log, each changed app's latest version,
+  /// so an app that flips phase every step holds one entry.  It is bounded;
+  /// a caller behind dir_log_floor_ — the newest version the cap evicted or
+  /// an epoch bump cleared — gets a full snapshot.
+  std::map<proto::AppId, std::uint64_t> dir_log_;
+  std::uint64_t dir_log_floor_ = 0;
   std::uint64_t dir_epoch_ = 0;
   std::uint64_t dir_version_ = 0;
   net::TimerId refresh_timer_{0};

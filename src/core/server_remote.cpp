@@ -34,8 +34,8 @@ std::shared_ptr<const util::Bytes> encode_event_standalone(
 /// the peer_batch_max_bytes trigger.
 constexpr std::size_t kOutboxItemOverhead = 32;
 
-/// Directory changes core 0 keeps; peers further behind get a full
-/// snapshot.
+/// Changed apps core 0's directory log keeps; peers further behind get a
+/// full snapshot.
 constexpr std::size_t kDirLogCap = 128;
 
 /// Refresh cadence of the optional global identity directory (§6.3).
@@ -1231,9 +1231,15 @@ proto::AppInfo DiscoverServer::app_info_of(
 void DiscoverServer::bump_directory(const proto::AppId& app) {
   DiscoverServer* group = group_;
   post_shard(0, [group, app] {
-    ++group->dir_version_;
-    group->dir_log_.push_back({group->dir_version_, app});
-    while (group->dir_log_.size() > kDirLogCap) group->dir_log_.pop_front();
+    auto& log = group->dir_log_;
+    log[app] = ++group->dir_version_;
+    if (log.size() > kDirLogCap) {
+      const auto oldest = std::min_element(
+          log.begin(), log.end(),
+          [](const auto& a, const auto& b) { return a.second < b.second; });
+      group->dir_log_floor_ = oldest->second;
+      log.erase(oldest);
+    }
   });
 }
 
@@ -1242,6 +1248,7 @@ void DiscoverServer::bump_directory_epoch() {
   post_shard(0, [this] {
     ++dir_epoch_;
     dir_log_.clear();
+    dir_log_floor_ = dir_version_;
   });
 }
 
@@ -1253,19 +1260,18 @@ void DiscoverServer::directory_update_since(
   upd->version = dir_version_;
   // Delta only when the caller is on our epoch, not ahead of us (a host
   // restart resets the version), and not behind the bounded change log.
-  const std::uint64_t log_floor =
-      dir_log_.empty() ? dir_version_ : dir_log_.front().version - 1;
   upd->full = !(epoch == dir_epoch_ && since <= dir_version_ &&
-                since >= log_floor);
+                since >= dir_log_floor_);
   // A delta names each app changed since the caller's version once, latest
   // change first; an app no core hosts any more is reported removed.
   std::vector<proto::AppId> touched;
   if (!upd->full) {
-    std::set<proto::AppId> seen;
-    for (auto it = dir_log_.rbegin(); it != dir_log_.rend(); ++it) {
-      if (it->version <= since) break;
-      if (seen.insert(it->app).second) touched.push_back(it->app);
+    std::vector<std::pair<std::uint64_t, proto::AppId>> changed;
+    for (const auto& [app, version] : dir_log_) {
+      if (version > since) changed.emplace_back(version, app);
     }
+    std::sort(changed.rbegin(), changed.rend());
+    for (auto& [_, app] : changed) touched.push_back(std::move(app));
   }
   gather_app_info(
       [upd, touched = std::move(touched),

@@ -62,13 +62,16 @@ void Executor::stop() {
 
 void Executor::enqueue(std::size_t owner, Task task) {
   Owner& o = *owners_[owner];
+  bool idle = false;
   {
     const std::lock_guard<std::mutex> lock(o.mutex);
     if (stopped_.load(std::memory_order_acquire)) return;
     inflight_.fetch_add(1, std::memory_order_acq_rel);
     o.queue.push_back(std::move(task));
+    idle = !o.busy;
   }
-  o.cv.notify_one();
+  // A busy owner's runner looks at the queue when it clears the flag.
+  if (idle) o.cv.notify_one();
 }
 
 void Executor::deliver(std::size_t owner, Message msg) {
@@ -77,6 +80,34 @@ void Executor::deliver(std::size_t owner, Message msg) {
 
 void Executor::post(std::size_t owner, std::function<void()> fn) {
   if (fn) enqueue(owner, Task{{}, std::move(fn)});
+}
+
+bool Executor::run_or_deliver(std::size_t owner, Message msg) {
+  Owner& o = *owners_[owner];
+  {
+    // Decide and queue under one acquisition: a loaded owner's worker
+    // takes this mutex once per task, and a second acquisition here per
+    // message contended with it enough for the worker to fall behind.
+    const std::lock_guard<std::mutex> lock(o.mutex);
+    if (stopped_.load(std::memory_order_acquire)) return false;
+    inflight_.fetch_add(1, std::memory_order_acq_rel);
+    if (o.busy || !o.queue.empty()) {
+      // A busy owner's runner looks at the queue when it clears the flag.
+      o.queue.push_back(Task{std::move(msg), {}});
+      return false;
+    }
+    o.busy = true;
+  }
+  if (o.handler != nullptr) o.handler->on_message(msg);
+  bool queued = false;
+  {
+    const std::lock_guard<std::mutex> lock(o.mutex);
+    o.busy = false;
+    queued = !o.queue.empty();
+  }
+  if (queued) o.cv.notify_one();
+  finish(1);
+  return true;
 }
 
 void Executor::finish(std::size_t tasks) {
@@ -112,14 +143,18 @@ void Executor::run_worker(std::size_t index) {
   Owner& o = *owners_[index];
   std::unique_lock<std::mutex> lock(o.mutex);
   while (true) {
+    // Queued work waits while run_or_deliver() has the owner on another
+    // thread.
     o.cv.wait(lock, [&] {
-      return !o.queue.empty() || stopped_.load(std::memory_order_acquire);
+      return (!o.queue.empty() && !o.busy) ||
+             stopped_.load(std::memory_order_acquire);
     });
     // stop() drops whatever is still queued once the workers are joined.
     if (stopped_.load(std::memory_order_acquire)) break;
     {
       Task task = std::move(o.queue.front());
       o.queue.pop_front();
+      o.busy = true;
       lock.unlock();
       if (task.fn) {
         task.fn();
@@ -128,8 +163,9 @@ void Executor::run_worker(std::size_t index) {
       }
     }
     if (after_task_) after_task_();
-    finish(1);
     lock.lock();
+    o.busy = false;
+    finish(1);
   }
   tl_executor = nullptr;
 }

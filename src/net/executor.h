@@ -3,13 +3,18 @@
 //
 // An executor runs a fixed set of *owners* — ThreadNetwork's nodes,
 // OsNetwork's local nodes, a sharded server's cores.  Each owner has a FIFO
-// queue drained by its own worker thread, so owner state needs no locking
-// (the actor model of net/network.h).  A queue element is either a Message
-// for the owner's MessageHandler or a task, so delivering a message costs
-// no per-message std::function.  Timers live in one ordered (deadline, id)
-// map served by one timer thread; a due timer becomes a task on its owner's
-// queue.  cancel() erases the entry, so a cancelled timer leaves nothing
-// behind and never wakes a worker.
+// queue drained by its own worker thread.  A queue element is either a
+// Message for the owner's MessageHandler or a task, so delivering a message
+// costs no per-message std::function.  run_or_deliver() lets another
+// thread (an event loop that just decoded a frame) run a message itself
+// when the owner is idle: nothing queued and nothing running.  A per-owner
+// busy flag, set
+// under the owner's mutex by whichever thread runs the owner's work, keeps
+// one thread at a time inside an owner and its work in FIFO order, so owner
+// state needs no locking (the actor model of net/network.h).  Timers live in
+// one ordered (deadline, id) map served by one timer thread; a due timer
+// becomes a task on its owner's queue.  cancel() erases the entry, so a
+// cancelled timer leaves nothing behind and never wakes a worker.
 #pragma once
 
 #include <atomic>
@@ -52,6 +57,13 @@ class Executor {
 
   /// Queues `msg` for `owner`'s handler, FIFO with post().
   void deliver(std::size_t owner, Message msg);
+  /// Runs `msg` through `owner`'s handler on the calling thread if the owner
+  /// is idle — nothing queued, none of its work running — and returns true
+  /// once it has run.  Otherwise queues it as deliver() does and returns
+  /// false.  Work queued while the message runs waits for it.  No
+  /// after-task hook runs, and on_owner() stays false: the calling thread
+  /// is no worker.
+  bool run_or_deliver(std::size_t owner, Message msg);
   /// Queues `fn` on `owner`'s FIFO.  Safe from any thread.
   void post(std::size_t owner, std::function<void()> fn);
   /// Posts `fn` to `owner` once `delay` has passed on clock(); a delay <= 0
@@ -71,9 +83,9 @@ class Executor {
   /// True when the calling thread is any of THIS executor's workers.
   [[nodiscard]] bool on_worker() const;
 
-  /// Runs `hook` on the worker after every task or message, before it
-  /// counts as finished, so wait_idle() covers what the hook does.  Set
-  /// before start().
+  /// Runs `hook` on the worker after every task or message the worker
+  /// runs, before it counts as finished, so wait_idle() covers what the
+  /// hook does.  Set before start().
   void set_after_task(std::function<void()> hook);
 
   [[nodiscard]] const util::Clock& clock() const { return clock_; }
@@ -89,6 +101,7 @@ class Executor {
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<Task> queue;
+    bool busy = false;  // a thread runs the owner's work (under mutex)
     std::thread worker;
   };
 

@@ -40,6 +40,10 @@ constexpr std::size_t kMaxIov = 1024;
 /// count never mixes two networks' sends.
 thread_local unsigned tl_task_sends = 0;
 
+/// The network whose event loop the calling thread runs (null elsewhere).
+/// A pointer, not a flag: one process may run several networks' loops.
+thread_local const OsNetwork* tl_loop_of = nullptr;
+
 void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
   counter.fetch_add(n, std::memory_order_relaxed);
 }
@@ -376,11 +380,13 @@ void OsNetwork::send(NodeId from, NodeId to, Channel channel,
     conn->outq_bytes += chunk.total();
     conn->outq.push_back(std::move(chunk));
   }
-  // On this network's own workers a task's first frame wakes the loop at
-  // once, so the loop writes while the task goes on; its later frames
-  // defer their wake to the end of the task, so a fan-out task costs at
-  // most two wakes.  Any other thread (a shard pool's worker included)
-  // takes the wake flag alone.
+  // A handler the loop runs itself needs no wake: the loop flushes every
+  // queue before it sleeps again.  On this network's own workers a task's
+  // first frame wakes the loop at once, so the loop writes while the task
+  // goes on; its later frames defer their wake to the end of the task, so
+  // a fan-out task costs at most two wakes.  Any other thread (a shard
+  // pool's worker included) takes the wake flag alone.
+  if (tl_loop_of == this) return;
   if (!exec_.on_worker() || tl_task_sends++ == 0) wake();
 }
 
@@ -446,6 +452,7 @@ util::Duration OsNetwork::next_deadline_delay() {
 // -- event loop -------------------------------------------------------------
 
 void OsNetwork::loop() {
+  tl_loop_of = this;
   std::vector<PollerEvent> events;
   util::TimePoint flush_deadline = 0;
   while (true) {
@@ -844,7 +851,9 @@ void OsNetwork::handle_frame(const std::shared_ptr<Conn>& conn,
   msg.sent_at = now();  // receiver clock; processes share no epoch
   msg.seq = recv_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   bump(os_stats_.frames_in);
-  exec_.deliver(nodes_[dst]->owner, std::move(msg));
+  // An idle node's handler runs here, on the loop; a busy node's frame
+  // waits in its FIFO behind the timer, task or frame it is running.
+  exec_.run_or_deliver(nodes_[dst]->owner, std::move(msg));
 }
 
 void OsNetwork::adopt_routes(const std::shared_ptr<Conn>& conn,

@@ -7,25 +7,32 @@
 //  * one nonblocking event-loop thread — epoll on Linux, poll(2) fallback —
 //    owns the listening acceptor and every connection's reads/writes;
 //  * every *local* node is an owner of one net::Executor, exactly like
-//    ThreadNetwork: handlers and timer callbacks run on the node's own
-//    worker, never on the I/O thread, and timers never touch the loop;
+//    ThreadNetwork, with its own worker.  A decoded frame whose node is
+//    idle (nothing queued, none of its work running) runs on the loop
+//    itself (Executor::run_or_deliver); timer callbacks, posted tasks,
+//    local deliveries and frames that find the node busy run on its
+//    worker, in FIFO order.  One thread at a time is inside a node either
+//    way, and a compute step (a timer callback) never stalls the loop.
+//    Timers never touch the loop;
 //  * one TCP connection per peer process carries every channel of every
 //    (src, dst) pair as length-prefixed frames (net/frame_codec.h), FIFO;
 //  * writes are coalesced per burst: send() queues the refcounted
 //    net::Payload — encode-once buffers are never copied into the socket
-//    layer — and writes the wake pipe only when the atomic wake flag was
-//    clear; the loop clears that flag before it scans the queues, so a
-//    frame queued after the scan always wakes it.  On one of this network's
-//    own workers only a task's first send wakes the loop at once; the
-//    task's later sends defer their wake to the end of the task.  A frame
-//    sent from a task is on its way to the wire no later than the end of
-//    that task, and a fan-out task costs at most two wakes.  Tasks on any
-//    other executor (a sharded server's shard pool) take the flag alone:
-//    one wake per loop pass, as for sends from any other thread.  Each loop
-//    pass flushes every open connection with queued frames directly, in
-//    one writev() of up to IOV_MAX iovecs; EPOLLOUT is armed only while a
-//    connect is in flight or the kernel pushes back (EAGAIN / a short
-//    write), and the unsent tail simply stays queued.
+//    layer.  A send on the loop thread needs no wake: the loop flushes
+//    every queue before it sleeps again.  Any other send writes the wake
+//    pipe only when the atomic wake flag was clear; the loop clears that
+//    flag before it scans the queues, so a frame queued after the scan
+//    always wakes it.  On one of this network's own workers only a task's
+//    first send wakes the loop at once; the task's later sends defer
+//    their wake to the end of the task.  A frame sent from a task is on
+//    its way to the wire no later than the end of that task, and a fan-out
+//    task costs at most two wakes.  Tasks on any other executor (a sharded
+//    server's shard pool) take the flag alone: one wake per loop pass, as
+//    for sends from any other thread.  Each loop pass flushes every open
+//    connection with queued frames directly, in one writev() of up to
+//    IOV_MAX iovecs; EPOLLOUT is armed only while a connect is in flight
+//    or the kernel pushes back (EAGAIN / a short write), and the unsent
+//    tail simply stays queued.
 //
 // Node ids are a *global* space coordinated by construction order: every
 // process creates the same topology, calling add_node() for the nodes it

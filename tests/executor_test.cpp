@@ -3,6 +3,10 @@
 //  * ordering — each owner runs its messages and tasks in post order, on
 //    its own worker, and on_owner() is scoped to one executor instance;
 //    the after-task hook runs on the worker before the task counts as done;
+//  * run_or_deliver — an idle owner's message runs on the calling thread,
+//    a busy or queued owner's waits its turn on the worker, and racing
+//    callers, tasks and timers never put two threads inside one owner or
+//    reorder a caller's messages;
 //  * lifecycle — stop() lets the running task finish, drops what is queued
 //    and everything posted later, and wait_idle() still returns;
 //  * timer hygiene on both real-time backends — cancel() erases at once,
@@ -155,6 +159,141 @@ TEST(Executor, AfterTaskHookRunsOnTheWorkerBeforeIdle) {
   EXPECT_EQ(off_worker.load(), 0);
   EXPECT_FALSE(exec.on_worker());  // the test thread is no worker
   exec.stop();
+}
+
+// -- run_or_deliver ---------------------------------------------------------
+
+/// Records the thread each message ran on.
+class ThreadRecorder final : public net::MessageHandler {
+ public:
+  void on_message(const net::Message&) override {
+    threads.push_back(std::this_thread::get_id());
+  }
+  std::vector<std::thread::id> threads;
+};
+
+TEST(Executor, RunOrDeliverRunsOnlyAnIdleOwnersMessageHere) {
+  net::Executor exec;
+  ThreadRecorder h;
+  exec.add_owner(&h);
+  const auto here = std::this_thread::get_id();
+  // Queued work (before start() no worker drains it) keeps its turn: the
+  // message queues behind it and runs on the worker.
+  exec.post(0, [] {});
+  EXPECT_FALSE(exec.run_or_deliver(0, net::Message{}));
+  exec.start();
+  ASSERT_TRUE(exec.wait_idle(util::seconds(5)));
+  ASSERT_EQ(h.threads.size(), 1u);
+  EXPECT_NE(h.threads[0], here);
+
+  // A running task holds the owner, and so does one queued behind it.
+  std::promise<void> entered;
+  std::atomic<bool> release{false};
+  exec.post(0, [&] {
+    entered.set_value();
+    while (!release.load()) std::this_thread::yield();
+  });
+  entered.get_future().wait();
+  EXPECT_FALSE(exec.run_or_deliver(0, net::Message{}));
+  exec.post(0, [] {});
+  EXPECT_FALSE(exec.run_or_deliver(0, net::Message{}));
+  release.store(true);
+  ASSERT_TRUE(exec.wait_idle(util::seconds(5)));
+  ASSERT_EQ(h.threads.size(), 3u);
+  EXPECT_NE(h.threads[1], here);
+  EXPECT_NE(h.threads[2], here);
+
+  // Idle: the message runs here, and counts until it has run.
+  EXPECT_TRUE(exec.run_or_deliver(0, net::Message{}));
+  ASSERT_EQ(h.threads.size(), 4u);
+  EXPECT_EQ(h.threads[3], here);
+  EXPECT_TRUE(exec.wait_idle(util::seconds(1)));
+
+  exec.stop();
+  EXPECT_FALSE(exec.run_or_deliver(0, net::Message{}));
+  EXPECT_TRUE(exec.wait_idle(util::seconds(1)));
+  EXPECT_EQ(h.threads.size(), 4u);
+}
+
+TEST(Executor, RunOrDeliverNeverOverlapsTheOwnersTasks) {
+  // Callers race run_or_deliver (as the OsNetwork loop calls it) against
+  // posted tasks and timers on one owner.  Every handler and task counts
+  // itself in and out: two threads inside the owner at once would lift the
+  // count above one.  Each caller's messages must also run in its order,
+  // whichever path each one took.
+  constexpr std::uint32_t kCallers = 3;
+  constexpr std::uint64_t kPerCaller = 3000;
+  struct Guarded final : net::MessageHandler {
+    std::atomic<int> inside{0};
+    std::atomic<int> max_inside{0};
+    // Touched only inside the owner.
+    std::vector<std::uint64_t> next = std::vector<std::uint64_t>(kCallers);
+    std::uint64_t messages = 0;
+    std::uint64_t tasks = 0;
+    bool reordered = false;
+
+    void enter() {
+      const int n = inside.fetch_add(1) + 1;
+      int seen = max_inside.load();
+      while (n > seen && !max_inside.compare_exchange_weak(seen, n)) {
+      }
+    }
+    void leave() { inside.fetch_sub(1); }
+    void on_message(const net::Message& msg) override {
+      enter();
+      if (msg.seq != next[msg.src.value()]++) reordered = true;
+      ++messages;
+      leave();
+    }
+    void task() {
+      enter();
+      ++tasks;
+      leave();
+    }
+  };
+  Guarded g;
+  net::Executor exec;
+  exec.add_owner(&g);
+  exec.start();
+
+  std::atomic<std::uint64_t> inline_runs{0};
+  std::atomic<std::uint64_t> queued{0};
+  std::vector<std::thread> callers;
+  for (std::uint32_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::uint64_t k = 0; k < kPerCaller; ++k) {
+        net::Message msg;
+        msg.src = net::NodeId{c};
+        msg.seq = k;
+        if (exec.run_or_deliver(0, std::move(msg))) {
+          inline_runs.fetch_add(1);
+        } else {
+          queued.fetch_add(1);
+        }
+        if (k % 16 == 0) exec.post(0, [&g] { g.task(); });
+        if (k % 256 == 0) {
+          exec.schedule(0, util::microseconds(50), [&g] { g.task(); });
+        }
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (exec.pending_timer_count() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(exec.wait_idle(util::seconds(10)));
+  exec.stop();
+
+  EXPECT_LE(g.max_inside.load(), 1);
+  EXPECT_FALSE(g.reordered);
+  EXPECT_EQ(g.messages, kCallers * kPerCaller);
+  EXPECT_EQ(g.tasks, kCallers * (kPerCaller / 16 + 1 + kPerCaller / 256 + 1));
+  // Both paths ran.
+  EXPECT_GT(inline_runs.load(), 0u);
+  EXPECT_GT(queued.load(), 0u);
 }
 
 // -- lifecycle --------------------------------------------------------------

@@ -11,7 +11,11 @@
 //     (not fatal) startup error when the listen port is taken;
 //   * the coalesced send path — a worker task's burst costs at most two
 //     loop wakes and a few writevs, and no mix of senders ever strands a
-//     frame.
+//     frame;
+//   * inline dispatch — the loop runs an idle node's frames itself, so a
+//     request/reply costs the replying process no wake, while a node in a
+//     long compute step keeps its frames queued, in order, until the step
+//     ends and delays no other node.
 // Timer hygiene on both real-time backends lives in executor_test.cpp.
 #include <gtest/gtest.h>
 
@@ -788,6 +792,160 @@ TEST(OsNetworkTest, MixedSendersNeverStrandAFrame) {
             static_cast<std::uint32_t>(kRounds * kTasks * kPerTask));
   EXPECT_EQ(expect[kTimerSender],
             static_cast<std::uint32_t>(kRounds * kTicks * kPerTick));
+}
+
+// -- OS transport: inline dispatch on the event loop -------------------------
+
+/// Sends every frame straight back to its sender on the same channel.
+class EchoHandler final : public net::MessageHandler {
+ public:
+  explicit EchoHandler(net::Network& net) : net_(net) {}
+  void on_message(const net::Message& msg) override {
+    net_.send(msg.dst, msg.src, msg.channel, msg.payload);
+  }
+
+ private:
+  net::Network& net_;
+};
+
+/// A server process with an echo node and a client process with one node,
+/// connected (the warm-up round trip is done).  Both build the same id
+/// space: the client first, then the echo node, then `extra`.
+struct EchoPair {
+  explicit EchoPair(net::MessageHandler* extra = nullptr) {
+    server_net.add_remote("client", "127.0.0.1", 0);
+    echo = server_net.add_node("echo", &echo_handler);
+    if (extra != nullptr) other = server_net.add_node("other", extra);
+    EXPECT_TRUE(server_net.start().ok());
+
+    net::OsNetworkConfig cfg;
+    cfg.listen = false;
+    client_net = std::make_unique<net::OsNetwork>(cfg);
+    client = client_net->add_node("client", &replies);
+    client_net->add_remote("echo", "127.0.0.1", server_net.listen_port());
+    if (extra != nullptr) {
+      client_net->add_remote("other", "127.0.0.1", server_net.listen_port());
+    }
+    EXPECT_TRUE(client_net->start().ok());
+    EXPECT_TRUE(round_trip(bytes_of("warm-up")));
+  }
+  ~EchoPair() {
+    client_net->stop();
+    server_net.stop();
+  }
+
+  /// Sends `body` to the echo node and waits for its reply.
+  bool round_trip(util::Bytes body) {
+    const std::size_t want = ++round_trips;
+    client_net->send(client, echo, net::Channel::http, std::move(body));
+    return replies.wait_count(want, util::seconds(10));
+  }
+
+  net::OsNetwork server_net;
+  EchoHandler echo_handler{server_net};
+  net::NodeId echo;
+  net::NodeId other;
+  std::unique_ptr<net::OsNetwork> client_net;
+  CaptureHandler replies;
+  net::NodeId client;
+  std::size_t round_trips = 0;
+};
+
+util::Bytes index_bytes(std::uint32_t i) {
+  util::Bytes body(sizeof(i));
+  std::memcpy(body.data(), &i, sizeof(i));
+  return body;
+}
+
+TEST(OsNetworkTest, InlineRequestReplyCostsNoWake) {
+  // The echo node is idle whenever a request arrives, so the server's loop
+  // runs its handler and writes the reply in its next flush: the server
+  // side never writes its wake pipe.  (A handoff to the node's worker pays
+  // one wake per reply.)
+  constexpr std::uint32_t kRoundTrips = 1000;
+  EchoPair pair;
+  const net::OsNetworkStats before = pair.server_net.os_stats();
+  for (std::uint32_t i = 0; i < kRoundTrips; ++i) {
+    ASSERT_TRUE(pair.round_trip(index_bytes(i))) << "round trip " << i;
+  }
+  const net::OsNetworkStats after = pair.server_net.os_stats();
+  EXPECT_EQ(after.wakes - before.wakes, 0u);
+  EXPECT_EQ(after.frames_in - before.frames_in, kRoundTrips);
+
+  const auto got = pair.replies.snapshot();
+  ASSERT_EQ(got.size(), 1u + kRoundTrips);
+  for (std::uint32_t i = 0; i < kRoundTrips; ++i) {
+    ASSERT_EQ(got[1 + i].first,
+              static_cast<std::uint32_t>(net::Channel::http));
+    ASSERT_EQ(got[1 + i].second, index_bytes(i)) << "reply " << i;
+  }
+}
+
+/// A node whose compute step is a timer callback that spins for 50 ms.  Its
+/// handler notes whether it ever ran during the step or before it ended.
+class SteppingNode final : public net::MessageHandler {
+ public:
+  void on_message(const net::Message& msg) override {
+    if (stepping.load()) overlapped.store(true);
+    if (!stepped.load()) early.store(true);
+    frames.on_message(msg);
+  }
+  void step() {
+    stepping.store(true);
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    stepping.store(false);
+    stepped.store(true);
+  }
+
+  std::atomic<bool> stepping{false};
+  std::atomic<bool> stepped{false};
+  std::atomic<bool> overlapped{false};
+  std::atomic<bool> early{false};
+  CaptureHandler frames;
+};
+
+TEST(OsNetworkTest, ComputeStepDoesNotDelayOtherNodes) {
+  constexpr std::uint32_t kFrames = 10;
+  SteppingNode stepper;
+  EchoPair pair(&stepper);
+  pair.server_net.schedule(pair.other, util::milliseconds(1),
+                           [&] { stepper.step(); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!stepper.stepping.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(stepper.stepping.load());
+
+  // Frames for the stepping node wait behind its step; the echo requests
+  // sent after them on the same connection are answered meanwhile.
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    pair.client_net->send(pair.client, pair.other, net::Channel::command,
+                          index_bytes(i));
+  }
+  int during_step = 0;
+  auto slowest = std::chrono::steady_clock::duration::zero();
+  while (stepper.stepping.load()) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(pair.round_trip(bytes_of("ping")));
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - t0);
+    if (stepper.stepping.load()) ++during_step;
+  }
+  EXPECT_GE(during_step, 3) << "round trips answered during the step";
+  EXPECT_LT(slowest, std::chrono::milliseconds(10));
+
+  ASSERT_TRUE(stepper.frames.wait_count(kFrames, util::seconds(10)));
+  EXPECT_FALSE(stepper.overlapped.load());
+  EXPECT_FALSE(stepper.early.load());
+  const auto got = stepper.frames.snapshot();
+  ASSERT_EQ(got.size(), kFrames);
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(got[i].second, index_bytes(i)) << "frame " << i;
+  }
 }
 
 TEST(OsNetworkTest, RepeatedTimerChainTicks) {

@@ -12,8 +12,9 @@
 //  * backpressure — a suspect peer's outbox holds events bounded by
 //    peer_outbox_cap, sheds periodic updates first, and drains on heal;
 //  * directory — one full snapshot at first contact, deltas afterwards;
-//    membership and phase changes propagate without new fulls; an epoch
-//    bump forces a full resync.
+//    membership and phase changes propagate without new fulls, even when
+//    one app's changes between two refreshes outnumber the change log; an
+//    epoch bump forces a full resync.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -442,6 +443,41 @@ TEST(PeerDirectory, FullOnceThenDeltasThenEpochBumpResyncs) {
   }));
   EXPECT_TRUE(directory_has(near, host,"shared"));
   EXPECT_TRUE(directory_has(near, host,"latecomer"));
+}
+
+TEST(PeerDirectory, PhaseChurnBetweenRefreshesStaysADelta) {
+  // An app that enters its interaction phase every 1 ms step and leaves it
+  // 1 ms later changes the host's directory ~1000 times per 1 s refresh,
+  // far more than the host's 128-entry change log.  One entry per app
+  // keeps the peer's cursor inside the log, so every refresh after first
+  // contact is still a delta.
+  workload::ScenarioConfig cfg;
+  cfg.server_template.peer_refresh_period = util::seconds(1);
+  workload::Scenario scenario(cfg);
+  auto& near = scenario.add_server("near", 1);
+  auto& host = scenario.add_server("host", 2);
+  app::AppConfig churn = watched_app("churn");
+  churn.step_time = util::milliseconds(1);
+  churn.interact_every = 1;
+  churn.interaction_window = util::milliseconds(1);
+  auto& app = scenario.add_app<app::SyntheticApp>(host, churn,
+                                                  app::SyntheticSpec{});
+  ASSERT_TRUE(scenario.run_until([&] {
+    return app.registered() && near.peer_count() == 1 &&
+           host.peer_count() == 1;
+  }));
+  ASSERT_TRUE(scenario.run_until([&] {
+    return near.stats().dir_fulls_in >= 1 && directory_has(near, host, "churn");
+  }));
+  const std::uint64_t fulls = near.stats().dir_fulls_in;
+  const std::uint64_t deltas = near.stats().dir_deltas_in;
+  const std::uint64_t steps = app.steps();
+  scenario.run_for(util::seconds(5));
+  // Two phase changes per step: well over 128 per refresh period.
+  EXPECT_GT(2 * (app.steps() - steps), 5u * 4 * 128);
+  EXPECT_EQ(near.stats().dir_fulls_in, fulls);
+  EXPECT_GE(near.stats().dir_deltas_in, deltas + 4);
+  EXPECT_TRUE(directory_has(near, host, "churn"));
 }
 
 // ---------------------------------------------------------------------------

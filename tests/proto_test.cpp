@@ -192,7 +192,7 @@ TEST(HttpBodyTest, LoginRoundTrip) {
   reply.token.mac = 123;
   reply.applications = {AppInfo{{1, 2}, "app", "d",
                                 security::Privilege::steer,
-                                AppPhase::computing, 7}};
+                                AppPhase::computing, 7, "bob@4", 2}};
   const auto reply2 = decode_login_reply(encode_body(reply));
   EXPECT_EQ(reply2.token, reply.token);
   EXPECT_EQ(reply2.applications, reply.applications);
