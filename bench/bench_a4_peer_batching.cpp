@@ -7,8 +7,8 @@
 // host, at the cost of up to peer_flush_delay of added delivery latency;
 // WAN bytes shrink too (one HTTP/CDR envelope per batch instead of per
 // event).  A second run prices the versioned-directory refresh (deltas
-// after one full snapshot; the full-every-round comparison is on record
-// in BENCH_remote.json).
+// after one full snapshot; the retired full-every-round arm's figures are
+// on record in EXPERIMENTS.md A4).
 #include "bench_common.h"
 
 #include "app/synthetic.h"
@@ -212,6 +212,7 @@ void BM_DirRefresh(benchmark::State& state) {
   }
   state.counters["dir_bytes"] = static_cast<double>(r.bytes);
   state.counters["dir_fulls"] = static_cast<double>(r.fulls);
+  state.counters["dir_deltas"] = static_cast<double>(r.deltas);
   dir_summary().row({workload::fmt_int(r.fulls), workload::fmt_int(r.deltas),
                      util::format_bytes(r.bytes),
                      workload::fmt_int(r.wan_msgs)});

@@ -121,7 +121,7 @@ void DiscoverServer::register_metrics() {
     return static_cast<std::int64_t>(sessions_.all().size());
   });
   gauge("peers", [this] {
-    return static_cast<std::int64_t>(peers_.size());
+    return static_cast<std::int64_t>(peer_count());
   });
   gauge("fifo_backlog", [this] {
     return static_cast<std::int64_t>(sessions_.fifo_entries());

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/lock_manager.h"
+#include "core/peer_link.h"
 #include "core/server_stats.h"
 #include "core/session_archive.h"
 #include "core/session_table.h"
@@ -118,23 +119,12 @@ struct ServerConfig {
   RemoteUpdateMode remote_update_mode = RemoteUpdateMode::push;
   util::Duration remote_poll_period = util::milliseconds(100);
 
-  /// Peer outbox (batched server-to-server propagation, DESIGN.md "Peer
-  /// outbox & directory deltas").  Push-mode events and relayed collab
-  /// posts bound for a peer queue in a per-peer outbox and leave as one
-  /// forward_events batch when the first of three triggers fires: the
-  /// batch reaches peer_batch_max_events, its encoded payload reaches
-  /// peer_batch_max_bytes, or peer_flush_delay elapses since the first
-  /// queued event (Nagle).  A zero delay disables the outbox entirely and
-  /// reproduces the legacy one-ORB-call-per-event wire behaviour — kept
-  /// as the per-event baseline of the peer-batching experiment (A4).
+  /// Peer outbox (DESIGN.md §5e): pushes and relayed collab posts for a
+  /// peer leave as one forward_events batch at PeerLink's count or byte
+  /// trigger, or this long after the first queued event (Nagle).  Zero
+  /// disables the outbox: one ORB call per event, the legacy wire
+  /// behaviour kept as the per-event baseline of experiment A4.
   util::Duration peer_flush_delay = util::milliseconds(5);
-  std::size_t peer_batch_max_events = 64;
-  std::size_t peer_batch_max_bytes = 48 * 1024;
-  /// Outbox backpressure: while a peer cannot be flushed (suspect, or a
-  /// batch is in flight) the queue is bounded here; at the cap the oldest
-  /// coalescible event (kind==update) — or failing that the oldest event —
-  /// is dropped and counted in outbox_dropped.
-  std::size_t peer_outbox_cap = 1024;
 
   /// Mirror archived events into the record store (exercises §6.3
   /// ownership); costs memory in long benches, so optional.
@@ -380,11 +370,6 @@ class DiscoverServer final : public net::MessageHandler {
   /// refresh); empty until the first list_apps_since reply.
   [[nodiscard]] std::vector<proto::AppInfo> peer_directory(
       std::uint32_t node) const;
-  /// This server's own directory version (bumped on local membership and
-  /// phase changes).
-  [[nodiscard]] std::uint64_t directory_version() const {
-    return dir_version_;
-  }
   /// Invalidates every peer's cached directory view of this server: the
   /// next list_apps_since from any peer gets a full snapshot.  An operator
   /// escape hatch (and the epoch-mismatch test hook).
@@ -435,57 +420,6 @@ class DiscoverServer final : public net::MessageHandler {
     std::uint64_t client_rid = 0;
     bool shared = true;
     std::string subgroup;
-  };
-
-  struct Peer {
-    std::uint32_t node = 0;
-    std::string name;
-    orb::ObjectRef server_ref;  // their DiscoverCorbaServer
-    std::unique_ptr<security::RateLimiter> limiter;
-    // Health tracking: consecutive ORB timeouts; at
-    // config_.peer_suspect_threshold the peer goes suspect and is only
-    // re-probed (not routed to) until a probe succeeds.
-    std::uint32_t consecutive_failures = 0;
-    bool suspect = false;
-    // Versioned directory cache: the peer's local applications as of the
-    // last list_apps_since reply, and the (epoch, version) to present on
-    // the next one.
-    std::map<proto::AppId, proto::AppInfo> directory;
-    std::uint64_t dir_epoch = 0;
-    std::uint64_t dir_version = 0;
-    bool dir_inflight = false;
-  };
-
-  /// One queued outbox event.  `encoded` is the standalone CDR encoding of
-  /// the event, produced once and shared by every peer outbox the event
-  /// lands in; flushes splice it into the batch without re-encoding.
-  struct OutboxItem {
-    proto::EventFrameKind frame_kind = proto::EventFrameKind::push;
-    proto::AppId app;
-    std::uint64_t seq = 0;  // 0 for collab_relay
-    proto::EventKind kind = proto::EventKind::system;
-    std::shared_ptr<const util::Bytes> encoded;
-    /// Ambient trace context at enqueue time (invalid when unsampled).  A
-    /// flush runs under the first traced item's context so the batched
-    /// forward_events call joins the trace that queued it.
-    util::TraceContext trace;
-  };
-
-  /// Why a flush fired (for the flushes_by_* stats).  `drain` flushes —
-  /// peer heal, shutdown, retry after a failed batch — bump no trigger
-  /// counter.
-  enum class FlushTrigger { count, bytes, timer, drain };
-
-  /// Per-peer outbox: FIFO across applications and frame kinds, so a
-  /// peer observes our send order.  At most one batch is in flight per
-  /// peer; newer events queue behind it and leave in the next batch (flow
-  /// control: batch size adapts to peer RTT).
-  struct PeerOutbox {
-    orb::ObjectRef ref;  // the peer's DiscoverCorbaServer
-    std::deque<OutboxItem> items;
-    std::size_t bytes = 0;  // encoded payload estimate of `items`
-    net::TimerId flush_timer{0};
-    bool inflight = false;
   };
 
   class MasterServlet;
@@ -640,19 +574,15 @@ class DiscoverServer final : public net::MessageHandler {
   /// publish_event fan-out).
   void deliver_remote(RemoteApp& entry, const proto::ClientEvent& ev);
 
-  // -- peer outbox pipeline ----------------------------------------------------
-  /// Queues one event for `node` and fires any flush trigger that tripped.
-  void outbox_append(std::uint32_t node, const orb::ObjectRef& ref,
-                     OutboxItem item);
-  /// Sends the outbox as one forward_events batch (unless empty, in
-  /// flight, or the peer is suspect — then items wait for heal).
-  void flush_outbox(std::uint32_t node, FlushTrigger trigger);
-  /// Drains every outbox best-effort; shutdown path.
-  void flush_all_outboxes();
-  /// Heal hook: a peer came back; move its queued events immediately.
-  void drain_outbox_if_any(std::uint32_t node);
-  /// Re-arms the flush timer after a failed batch left requeued items.
-  void ob_arm_retry(std::uint32_t node);
+  // -- peer outbox I/O (the policy is PeerLink's) -----------------------------
+  /// Queues `item` on `link` for `ref`; acts on the trigger it reports.
+  void queue_for_peer(PeerLink& link, const orb::ObjectRef& ref,
+                      OutboxItem item);
+  /// Sends the batch the link yields as one forward_events call; a failed
+  /// batch is requeued and retried after peer_flush_delay.
+  void flush_outbox(PeerLink& link, FlushTrigger trigger);
+  /// Flushes `link` with `trigger` after peer_flush_delay (Nagle, retry).
+  void schedule_flush(PeerLink& link, FlushTrigger trigger);
   /// Relays a local client's collab post toward the app's host: through
   /// the outbox when batching is on and the host's level-1 ref is known,
   /// else a direct forward_collab (the legacy wire behaviour).
@@ -686,8 +616,7 @@ class DiscoverServer final : public net::MessageHandler {
   /// Fetches `peer`'s directory this round: a delta against the cached
   /// (epoch, version), or the full snapshot the host sends when the cursor
   /// is out of range.
-  void refresh_peer_directory(Peer& peer);
-  void apply_directory_update(Peer& peer, const proto::DirectoryUpdate& upd);
+  void refresh_peer_directory(PeerLink& link);
 
   // -- command path -----------------------------------------------------------
   /// Host-side command admission: privilege, locks, buffering.  Returns the
@@ -734,48 +663,44 @@ class DiscoverServer final : public net::MessageHandler {
                    std::function<void(UserView&)> done);
 
   // -- peers / discovery --------------------------------------------------------
+  /// One refresh round (core 0): advertises this server until the trader
+  /// confirms its offer, lists new peers, probes suspect ones and fetches
+  /// the others' directories.
   void refresh_peers();
-  /// (Re-)advertises this server through the trader; called at start() and
-  /// again each refresh round until an offer id is confirmed.
-  void export_trader_offer();
   void schedule_refresh();
   void handle_control_channel(const net::Message& msg);
   void broadcast_system_event(proto::SystemEventKind kind,
                               const proto::AppId& app,
                               const std::string& text);
-  Peer* peer_by_node(std::uint32_t node);
+  [[nodiscard]] PeerLink* find_link(std::uint32_t node);
   /// Applies the per-peer resource policy (§6.3); true = admitted.
   bool admit_peer(std::uint32_t node, std::size_t bytes);
-  /// ORB call to a peer with health accounting: feeds note_peer_call() with
-  /// the outcome before running `cb`.
+  /// ORB call to a peer with health accounting: hands the outcome to core
+  /// 0's judge_peer_call() before running `cb`.
   void invoke_peer(std::uint32_t node, const orb::ObjectRef& ref,
                    const std::string& method, wire::Encoder args,
                    orb::Orb::ResultCallback cb, util::Duration timeout);
-  /// Records one call outcome on core 0, which judges peer health for the
-  /// node: `timed_out` failures accumulate toward suspicion, any response
-  /// (even an error) proves liveness and heals.
-  void note_peer_call(std::uint32_t node, bool timed_out);
-  void judge_peer_call(std::uint32_t node, bool timed_out);
-  // Sharded federation (DESIGN.md §5j): peer discovery and health are
-  // decided on core 0; every core holds its own copy of each peer (ref,
-  // limiter, suspect flag) so it can reach every peer through its own ORB.
-  /// Core 0: adds a newly discovered peer on every core.
+  /// Core 0 judges a listed peer's health from one call outcome: timeouts
+  /// accumulate toward suspicion, then every core withdraws its share of
+  /// the peer's apps and routing stops; any response (even an error)
+  /// proves liveness, and a suspect peer heals — `how` says how in the log.
+  void judge_peer_call(std::uint32_t node, bool timed_out, const char* how);
+  // Sharded federation (DESIGN.md §5j): discovery and health are decided
+  // on core 0; every core holds its own link to each peer, so it reaches
+  // every peer through its own ORB.
+  /// One core's half of a discovery: lists the peer on this core's link —
+  /// a new one, or one a subscribe created, keeping its outbox.
   void add_peer(std::uint32_t node, const std::string& name,
                 const orb::ObjectRef& ref);
-  /// Core 0: marks the peer suspect, then every core withdraws its share
-  /// of the peer's apps; routing stops until a re-probe succeeds.
-  void mark_peer_suspect(Peer& peer);
-  /// Core 0: the peer answered again; every core resumes routing to it.
-  void heal_peer(Peer& peer, const char* how);
-  void probe_suspect_peer(Peer& peer);
+  void probe_suspect_peer(PeerLink& link);
   /// One core's half of a suspect transition: flags the peer, withdraws
   /// the remote apps this core owns, reaps their lock interest.  The core
   /// that `announce`s also tells the other servers, once for the node.
   void apply_peer_suspect(std::uint32_t node, bool announce);
   /// One core's half of a heal: clears the flag, drains the outbox.
   void apply_peer_heal(std::uint32_t node);
-  /// One core's half of a server_down notice: forgets the peer and
-  /// withdraws the remote apps this core owns there.
+  /// One core's half of a server_down notice: erases the peer's link (and
+  /// outbox) and its subscriptions here; withdraws its apps this core owns.
   void handle_peer_down(std::uint32_t origin);
   /// Encodes and pushes one MONITORING report (the merge of every core's
   /// metrics snapshot), then reschedules.
@@ -857,7 +782,9 @@ class DiscoverServer final : public net::MessageHandler {
   orb::NamingClient naming_;
   orb::TraderClient trader_;
   orb::ObjectRef own_server_ref_;  // our DiscoverCorbaServer
+  /// Our confirmed trader offer (0 until then); one export in flight at most.
   std::uint64_t trader_offer_id_ = 0;
+  bool trader_exporting_ = false;
 
   std::map<proto::AppId, ApplicationProxy> hosted_;
   std::map<proto::AppId, RemoteApp> remote_;
@@ -868,13 +795,12 @@ class DiscoverServer final : public net::MessageHandler {
   std::map<std::uint64_t, PendingCmd> pending_cmds_;
   std::uint64_t next_host_rid_ = 1;
 
-  std::map<std::uint32_t, Peer> peers_;
-  /// Mirror of peers_.size(), maintained at every insert/erase so tests
+  /// One link per peer node: the peers the trader listed, plus
+  /// subscribers it has not listed yet (their links carry only pushes).
+  std::map<std::uint32_t, PeerLink> links_;
+  /// The number of listed links, kept at every listing and erase so tests
   /// and monitors on other threads can poll peer_count() race-free.
   std::atomic<std::size_t> peer_count_cache_{0};
-  /// Keyed by peer node, NOT tied to peers_ lifetime: push targets come
-  /// from ApplicationProxy::subscribers and may precede trader discovery.
-  std::map<std::uint32_t, PeerOutbox> outboxes_;
   /// Core 0: the directory change log, each changed app's latest version,
   /// so an app that flips phase every step holds one entry.  It is bounded;
   /// a caller behind dir_log_floor_ — the newest version the cap evicted or

@@ -19,21 +19,6 @@ void encode_app_info_seq(wire::Encoder& e, const Apps& apps) {
   for (const proto::AppInfo& a : apps) proto::encode(e, a);
 }
 
-/// Standalone encoding of one event — the unit the outbox shares across
-/// peers.  Spliced into batches at 8-byte boundaries, where it re-decodes
-/// exactly as proto::encode would have produced in place.
-std::shared_ptr<const util::Bytes> encode_event_standalone(
-    const proto::ClientEvent& ev) {
-  wire::Encoder e;
-  e.reserve(128);
-  proto::encode(e, ev);
-  return std::make_shared<const util::Bytes>(std::move(e).take());
-}
-
-/// Conservative per-item wire overhead (frame headers, alignment) used for
-/// the peer_batch_max_bytes trigger.
-constexpr std::size_t kOutboxItemOverhead = 32;
-
 /// Changed apps core 0's directory log keeps; peers further behind get a
 /// full snapshot.
 constexpr std::size_t kDirLogCap = 128;
@@ -295,20 +280,7 @@ void DiscoverServer::start_core() {
     monitor_timer_ = schedule_self(config_.monitoring_period,
                                    [this] { report_monitoring(); });
   }
-  if (trader_.configured()) {
-    export_trader_offer();
-    refresh_peers();
-  }
-}
-
-void DiscoverServer::export_trader_offer() {
-  std::map<std::string, std::string> props;
-  props["name"] = config_.name;
-  props["domain"] = std::to_string(network_.node_domain(self_).value());
-  trader_.export_offer("DISCOVER", own_server_ref_, props,
-                       [this](util::Result<std::uint64_t> r) {
-                         if (r.ok()) trader_offer_id_ = r.value();
-                       });
+  if (trader_.configured()) refresh_peers();
 }
 
 void DiscoverServer::shutdown() {
@@ -329,13 +301,21 @@ void DiscoverServer::shutdown_core(bool farewell) {
   if (session_timer_.value() != 0) network_.cancel(session_timer_);
   if (monitor_timer_.value() != 0) network_.cancel(monitor_timer_);
   if (identity_timer_.value() != 0) network_.cancel(identity_timer_);
-  flush_all_outboxes();
+  // Best-effort: a batch in flight already carries its items; what is
+  // still queued goes out in one final batch.
+  for (auto& [_, link] : links_) {
+    if (link.flush_timer.value() != 0) {
+      network_.cancel(std::exchange(link.flush_timer, net::TimerId{0}));
+    }
+    flush_outbox(link, FlushTrigger::drain);
+  }
   if (farewell) {
     broadcast_system_event(proto::SystemEventKind::server_down,
                            proto::AppId{}, config_.name + " shutting down");
   }
   if (trader_.configured() && trader_offer_id_ != 0) {
-    trader_.withdraw(trader_offer_id_, [](util::Status) {});
+    trader_.withdraw(std::exchange(trader_offer_id_, 0),
+                     [](util::Status) {});
   }
 }
 
@@ -350,21 +330,38 @@ void DiscoverServer::refresh_peers() {
     schedule_refresh();
     return;
   }
-  // A lost export_offer reply leaves us unadvertised; retry each round
-  // until the offer is confirmed (export is idempotent at the trader: a
-  // duplicate simply re-registers the same ref under a new offer id).
-  if (started_ && trader_offer_id_ == 0) export_trader_offer();
+  // Export until an offer id is confirmed, one attempt at a time: the
+  // trader files every export as a new offer, and shutdown withdraws only
+  // the one whose id came back.  A lost reply still leaves a stray offer.
+  if (started_ && trader_offer_id_ == 0 && !trader_exporting_) {
+    trader_exporting_ = true;
+    const std::map<std::string, std::string> props = {
+        {"name", config_.name},
+        {"domain", std::to_string(network_.node_domain(self_).value())}};
+    trader_.export_offer("DISCOVER", own_server_ref_, props,
+                         [this](util::Result<std::uint64_t> r) {
+                           trader_exporting_ = false;
+                           if (!r.ok()) return;
+                           if (started_) {
+                             trader_offer_id_ = r.value();
+                           } else {  // shut down while it was in flight
+                             trader_.withdraw(r.value(), [](util::Status) {});
+                           }
+                         });
+  }
   trader_.query(
       "DISCOVER", "",
       [this](util::Result<std::vector<orb::ServiceOffer>> r) {
         if (r.ok()) {
           for (const auto& offer : r.value()) {
-            if (offer.ref.node == self_.value()) continue;
-            if (peers_.count(offer.ref.node) != 0) continue;
-            const auto name_prop = offer.properties.find("name");
-            const std::string name = name_prop != offer.properties.end()
-                                         ? name_prop->second
-                                         : "server";
+            const PeerLink* known = find_link(offer.ref.node);
+            if (offer.ref.node == self_.value() ||
+                (known != nullptr && known->listed())) {
+              continue;
+            }
+            const auto& props = offer.properties;
+            const std::string name =
+                props.count("name") != 0 ? props.at("name") : "server";
             DISCOVER_LOG(info, "server")
                 << describe() << ": discovered peer " << name << "@"
                 << offer.ref.node;
@@ -377,11 +374,11 @@ void DiscoverServer::refresh_peers() {
         // Re-probe suspect peers each refresh round; a successful ping
         // heals them and routing resumes.  Live peers get a versioned
         // directory fetch instead.
-        for (auto& [_, peer] : peers_) {
-          if (peer.suspect) {
-            probe_suspect_peer(peer);
+        for (auto& [_, link] : links_) {
+          if (link.suspect) {
+            probe_suspect_peer(link);
           } else {
-            refresh_peer_directory(peer);
+            refresh_peer_directory(link);
           }
         }
         schedule_refresh();
@@ -496,14 +493,14 @@ void DiscoverServer::send_monitoring_report(
                config_.orb_call_timeout);
 }
 
-DiscoverServer::Peer* DiscoverServer::peer_by_node(std::uint32_t node) {
-  const auto it = peers_.find(node);
-  return it != peers_.end() ? &it->second : nullptr;
+PeerLink* DiscoverServer::find_link(std::uint32_t node) {
+  const auto it = links_.find(node);
+  return it != links_.end() ? &it->second : nullptr;
 }
 
 bool DiscoverServer::peer_suspect(net::NodeId node) const {
-  const auto it = peers_.find(node.value());
-  return it != peers_.end() && it->second.suspect;
+  const auto it = links_.find(node.value());
+  return it != links_.end() && it->second.suspect;
 }
 
 // ---------------------------------------------------------------------------
@@ -516,96 +513,79 @@ void DiscoverServer::invoke_peer(std::uint32_t node,
                                  wire::Encoder args,
                                  orb::Orb::ResultCallback cb,
                                  util::Duration timeout) {
-  Peer* peer = peer_by_node(node);
-  if (peer != nullptr && peer->suspect) {
+  if (const PeerLink* link = find_link(node);
+      link != nullptr && link->suspect) {
     // Fail fast instead of waiting out a timeout against a peer already
     // known to be unreachable; the refresh loop re-probes it.
     cb(util::Error{util::Errc::unavailable,
-                   "peer " + peer->name + " is suspect"});
+                   "peer " + link->name + " is suspect"});
     return;
   }
   orb_->invoke(
       ref, method, std::move(args),
       [this, node, cb = std::move(cb)](util::Result<util::Bytes> r) {
-        note_peer_call(node,
-                       !r.ok() && r.error().code == util::Errc::timeout);
+        // Health is judged on core 0 — one failure counter per peer, not
+        // shard_count divergent ones.
+        const bool timed_out =
+            !r.ok() && r.error().code == util::Errc::timeout;
+        post_shard(0, [group = group_, node, timed_out] {
+          group->judge_peer_call(node, timed_out, "healed");
+        });
         cb(std::move(r));
       },
       timeout);
 }
 
-void DiscoverServer::note_peer_call(std::uint32_t node, bool timed_out) {
-  // Health is judged on core 0 — one failure counter per peer, not
-  // shard_count divergent ones.
-  DiscoverServer* group = group_;
-  post_shard(0, [group, node, timed_out] {
-    group->judge_peer_call(node, timed_out);
-  });
-}
-
-void DiscoverServer::judge_peer_call(std::uint32_t node, bool timed_out) {
-  Peer* peer = peer_by_node(node);
-  if (peer == nullptr) return;
+void DiscoverServer::judge_peer_call(std::uint32_t node, bool timed_out,
+                                     const char* how) {
+  PeerLink* link = find_link(node);
+  if (link == nullptr || !link->listed()) return;
   if (!timed_out) {
     // Any response — even an application error — proves the peer is alive.
-    peer->consecutive_failures = 0;
-    if (peer->suspect) heal_peer(*peer, "healed");
+    link->consecutive_failures = 0;
+    if (!link->suspect) return;
+    DISCOVER_LOG(info, "server")
+        << describe() << ": peer " << link->name << "@" << node << " " << how;
+    for_each_core([node](DiscoverServer& core) { core.apply_peer_heal(node); });
     return;
   }
-  if (config_.peer_suspect_threshold == 0 || peer->suspect) return;
-  if (++peer->consecutive_failures >= config_.peer_suspect_threshold) {
-    mark_peer_suspect(*peer);
+  if (config_.peer_suspect_threshold == 0 || link->suspect ||
+      ++link->consecutive_failures < config_.peer_suspect_threshold) {
+    return;
   }
-}
-
-void DiscoverServer::add_peer(std::uint32_t node, const std::string& name,
-                              const orb::ObjectRef& ref) {
-  if (peers_.count(node) != 0) return;
-  Peer peer;
-  peer.node = node;
-  peer.name = name;
-  peer.server_ref = ref;
-  peer.limiter = std::make_unique<security::RateLimiter>(config_.peer_policy);
-  peers_.emplace(node, std::move(peer));
-  peer_count_cache_.store(peers_.size(), std::memory_order_relaxed);
-}
-
-void DiscoverServer::mark_peer_suspect(Peer& peer) {
-  peer.suspect = true;
+  link->suspect = true;
   DISCOVER_LOG(warn, "server")
-      << describe() << ": peer " << peer.name << "@" << peer.node
-      << " suspect after " << peer.consecutive_failures
+      << describe() << ": peer " << link->name << "@" << node
+      << " suspect after " << link->consecutive_failures
       << " consecutive timeouts";
-  const std::uint32_t node = peer.node;
   for_each_core([this, node](DiscoverServer& core) {
     core.apply_peer_suspect(node, /*announce=*/&core == this);
   });
 }
 
-void DiscoverServer::heal_peer(Peer& peer, const char* how) {
-  DISCOVER_LOG(info, "server") << describe() << ": peer " << peer.name << "@"
-                               << peer.node << " " << how;
-  const std::uint32_t node = peer.node;
-  for_each_core([node](DiscoverServer& core) { core.apply_peer_heal(node); });
+void DiscoverServer::add_peer(std::uint32_t node, const std::string& name,
+                              const orb::ObjectRef& ref) {
+  PeerLink& link = links_.try_emplace(node, node, stats_).first->second;
+  if (link.listed()) return;
+  link.name = name;
+  link.server_ref = ref;
+  link.limiter = std::make_unique<security::RateLimiter>(config_.peer_policy);
+  peer_count_cache_.fetch_add(1);
 }
 
-void DiscoverServer::probe_suspect_peer(Peer& peer) {
-  const std::uint32_t node = peer.node;
+void DiscoverServer::probe_suspect_peer(PeerLink& link) {
   orb_->invoke(
-      peer.server_ref, "ping", wire::Encoder{},
-      [this, node](util::Result<util::Bytes> r) {
-        Peer* p = peer_by_node(node);
-        if (p == nullptr || !r.ok()) return;
-        p->consecutive_failures = 0;
-        if (p->suspect) heal_peer(*p, "healed (probe)");
+      link.server_ref, "ping", wire::Encoder{},
+      [this, node = link.node](util::Result<util::Bytes> r) {
+        if (r.ok()) judge_peer_call(node, false, "healed (probe)");
       },
       config_.orb_call_timeout);
 }
 
 void DiscoverServer::apply_peer_suspect(std::uint32_t node, bool announce) {
-  Peer* peer = peer_by_node(node);
-  const std::string name = peer != nullptr ? peer->name : "server";
-  if (peer != nullptr) peer->suspect = true;
+  PeerLink* link = find_link(node);
+  const std::string name = link != nullptr ? link->name : "server";
+  if (link != nullptr) link->suspect = true;
   // Its applications are unreachable: withdraw the ones this core owns
   // from the directory (their watchers get an "application departed" event
   // inside remove_remote_app) and, announcing, tell the other servers
@@ -634,18 +614,18 @@ void DiscoverServer::apply_peer_suspect(std::uint32_t node, bool announce) {
 }
 
 void DiscoverServer::apply_peer_heal(std::uint32_t node) {
-  Peer* peer = peer_by_node(node);
-  if (peer != nullptr) {
-    peer->consecutive_failures = 0;
-    peer->suspect = false;
-  }
-  drain_outbox_if_any(node);
+  PeerLink* link = find_link(node);
+  if (link == nullptr) return;
+  link->consecutive_failures = 0;
+  link->suspect = false;
+  // Move what queued while the peer was unreachable now.
+  flush_outbox(*link, FlushTrigger::drain);
 }
 
 bool DiscoverServer::admit_peer(std::uint32_t node, std::size_t bytes) {
-  Peer* peer = peer_by_node(node);
-  if (peer == nullptr || !peer->limiter) return true;
-  const bool ok = peer->limiter->admit(network_.now(),
+  const PeerLink* link = find_link(node);
+  if (link == nullptr || !link->limiter) return true;
+  const bool ok = link->limiter->admit(network_.now(),
                                        static_cast<std::uint64_t>(bytes));
   if (!ok) ++stats_.peer_rate_limited;
   return ok;
@@ -665,7 +645,8 @@ void DiscoverServer::broadcast_system_event(proto::SystemEventKind kind,
   ev.text = text;
   // One serialization shared by every peer (refcounted, not copied).
   const net::Payload payload{proto::encode_framed(proto::FramedMessage{ev})};
-  for (const auto& [node, _] : peers_) {
+  for (const auto& [node, link] : links_) {
+    if (!link.listed()) continue;
     network_.send(self_, net::NodeId{node}, net::Channel::control, payload);
   }
   ++stats_.system_events;
@@ -706,8 +687,13 @@ void DiscoverServer::handle_control_channel(const net::Message& msg) {
 }
 
 void DiscoverServer::handle_peer_down(std::uint32_t origin) {
-  peers_.erase(origin);
-  peer_count_cache_.store(peers_.size(), std::memory_order_relaxed);
+  if (const PeerLink* link = find_link(origin)) {
+    if (link->flush_timer.value() != 0) network_.cancel(link->flush_timer);
+    if (link->listed()) peer_count_cache_.fetch_sub(1);
+    links_.erase(origin);
+  }
+  // Nothing more is pushed to it; the reply to a batch in flight is dropped.
+  for (auto& [_, entry] : hosted_) entry.subscribers.erase(origin);
   // Every remote application hosted there is now unreachable.
   std::vector<proto::AppId> gone;
   for (const auto& [id, _] : remote_) {
@@ -729,13 +715,11 @@ void DiscoverServer::with_remote_app(const proto::AppId& app,
     ready(existing);
     return;
   }
-  if (app.host == self_.value() || !naming_.configured()) {
-    ready(nullptr);  // a local id we don't know, or no registry to resolve
-    return;
-  }
-  if (const Peer* host = peer_by_node(app.host);
-      host != nullptr && host->suspect) {
-    ready(nullptr);  // its host is unreachable; don't re-resolve until healed
+  // A local id we don't know, no registry to resolve through, or a host
+  // known to be unreachable (don't re-resolve until it heals).
+  if (app.host == self_.value() || !naming_.configured() ||
+      peer_suspect(net::NodeId{app.host})) {
+    ready(nullptr);
     return;
   }
   naming_.resolve(
@@ -921,32 +905,26 @@ void DiscoverServer::push_to_subscribers(ApplicationProxy& entry,
     }
     return;
   }
-  // Outbox path: serialize the event once, share the bytes across every
-  // subscriber's outbox, let the flush triggers coalesce.
+  // Outbox path: encode once, share the bytes across every subscriber's
+  // outbox (a subscriber the trader has not listed gets a link for it).
   const auto encoded = encode_event_standalone(ev);
   for (const auto& [node, ref] : entry.subscribers) {
-    OutboxItem item;
-    item.frame_kind = proto::EventFrameKind::push;
-    item.app = entry.id;
-    item.seq = ev.seq;
-    item.kind = ev.kind;
-    item.encoded = encoded;
-    outbox_append(node, ref, std::move(item));
+    queue_for_peer(links_.try_emplace(node, node, stats_).first->second, ref,
+                   {proto::EventFrameKind::push, entry.id, ev.seq, ev.kind,
+                    encoded, {}});
     ++stats_.peer_events_out;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Peer outbox pipeline (DESIGN.md "Peer outbox & directory deltas")
+// Peer outbox I/O (DESIGN.md §5e; the policy lives in PeerLink)
 // ---------------------------------------------------------------------------
 
 void DiscoverServer::relay_collab_to_host(RemoteApp& entry,
                                           const proto::ClientEvent& ev) {
   const std::uint32_t host = entry.corba_proxy.node;
-  const Peer* peer = peer_by_node(host);
-  const bool batch = config_.peer_flush_delay > 0 && peer != nullptr &&
-                     peer->server_ref.valid();
-  if (!batch) {
+  PeerLink* link = find_link(host);
+  if (config_.peer_flush_delay == 0 || link == nullptr || !link->listed()) {
     // Legacy wire behaviour: direct forward_collab to the app's CorbaProxy.
     wire::Encoder args;
     proto::encode(args, ev);
@@ -954,114 +932,43 @@ void DiscoverServer::relay_collab_to_host(RemoteApp& entry,
                 [](util::Result<util::Bytes>) {}, config_.orb_call_timeout);
     return;
   }
-  OutboxItem item;
-  item.frame_kind = proto::EventFrameKind::collab_relay;
-  item.app = entry.id;
-  item.kind = ev.kind;
-  item.encoded = encode_event_standalone(ev);
-  outbox_append(host, peer->server_ref, std::move(item));
+  queue_for_peer(*link, link->server_ref,
+                 {proto::EventFrameKind::collab_relay, entry.id, 0, ev.kind,
+                  encode_event_standalone(ev), {}});
 }
 
-void DiscoverServer::outbox_append(std::uint32_t node,
-                                   const orb::ObjectRef& ref,
-                                   OutboxItem item) {
+void DiscoverServer::queue_for_peer(PeerLink& link, const orb::ObjectRef& ref,
+                                    OutboxItem item) {
   // Queueing decouples the event from its ingress context (the flush fires
   // from a timer); remember the ambient trace so the batch can rejoin it.
   item.trace = tracer_.current();
-  PeerOutbox& ob = outboxes_[node];
-  ob.ref = ref;
-  if (ob.items.size() >= config_.peer_outbox_cap &&
-      config_.peer_outbox_cap > 0) {
-    // Backpressure: prefer shedding a periodic state update (a newer one
-    // supersedes it anyway) over collaboration or response traffic.
-    auto victim = ob.items.begin();
-    for (auto it = ob.items.begin(); it != ob.items.end(); ++it) {
-      if (it->kind == proto::EventKind::update) {
-        victim = it;
-        break;
-      }
-    }
-    ob.bytes -= std::min(ob.bytes,
-                         victim->encoded->size() + kOutboxItemOverhead);
-    ob.items.erase(victim);
-    ++stats_.outbox_dropped;
-  }
-  ob.bytes += item.encoded->size() + kOutboxItemOverhead;
-  ob.items.push_back(std::move(item));
-  if (ob.items.size() >= config_.peer_batch_max_events) {
-    flush_outbox(node, FlushTrigger::count);
-  } else if (ob.bytes >= config_.peer_batch_max_bytes) {
-    flush_outbox(node, FlushTrigger::bytes);
-  } else if (ob.flush_timer.value() == 0 && !ob.inflight) {
-    ob.flush_timer =
-        schedule_self(config_.peer_flush_delay, [this, node] {
-          const auto it = outboxes_.find(node);
-          if (it == outboxes_.end()) return;
-          it->second.flush_timer = net::TimerId{0};
-          flush_outbox(node, FlushTrigger::timer);
-        });
+  const auto fired = link.append(std::move(item), ref);
+  if (fired == FlushTrigger::timer) {
+    schedule_flush(link, FlushTrigger::timer);
+  } else if (fired) {
+    flush_outbox(link, *fired);
   }
 }
 
-void DiscoverServer::flush_outbox(std::uint32_t node, FlushTrigger trigger) {
-  const auto it = outboxes_.find(node);
-  if (it == outboxes_.end()) return;
-  PeerOutbox& ob = it->second;
-  if (ob.items.empty() || ob.inflight) return;
-  if (const Peer* peer = peer_by_node(node); peer != nullptr &&
-                                             peer->suspect) {
-    // Don't burn encodes against a peer known to be unreachable: items
-    // wait (bounded by peer_outbox_cap) and drain on heal.
-    return;
-  }
-  if (ob.flush_timer.value() != 0) {
-    network_.cancel(ob.flush_timer);
-    ob.flush_timer = net::TimerId{0};
-  }
+void DiscoverServer::schedule_flush(PeerLink& link, FlushTrigger trigger) {
+  link.flush_timer = schedule_self(
+      config_.peer_flush_delay, [this, node = link.node, trigger] {
+        PeerLink* l = find_link(node);
+        if (l == nullptr) return;
+        l->flush_timer = net::TimerId{0};
+        flush_outbox(*l, trigger);
+      });
+}
 
-  std::vector<OutboxItem> sent(std::make_move_iterator(ob.items.begin()),
-                               std::make_move_iterator(ob.items.end()));
-  ob.items.clear();
-  const std::size_t payload_hint = ob.bytes;
-  ob.bytes = 0;
-
-  // Group the FIFO into frames: one frame per run of (app, kind), so
-  // per-app order is the queue order and each push frame carries its
-  // contiguous seq range.
-  struct FrameSpan {
-    std::size_t first = 0;
-    std::size_t count = 0;
-  };
-  std::vector<FrameSpan> spans;
-  for (std::size_t i = 0; i < sent.size(); ++i) {
-    if (i == 0 || sent[i].frame_kind != sent[i - 1].frame_kind ||
-        !(sent[i].app == sent[i - 1].app)) {
-      spans.push_back({i, 1});
-    } else {
-      ++spans.back().count;
-    }
+void DiscoverServer::flush_outbox(PeerLink& link, FlushTrigger trigger) {
+  auto batch = link.take_batch();
+  if (!batch) return;
+  if (link.flush_timer.value() != 0) {
+    network_.cancel(std::exchange(link.flush_timer, net::TimerId{0}));
   }
-
-  wire::Encoder args;
-  args.reserve(payload_hint + 16);
-  args.u32(static_cast<std::uint32_t>(spans.size()));
-  for (const auto& span : spans) {
-    const OutboxItem& first = sent[span.first];
-    const OutboxItem& last = sent[span.first + span.count - 1];
-    args.u8(static_cast<std::uint8_t>(first.frame_kind));
-    proto::encode(args, first.app);
-    args.u64(first.seq);
-    args.u64(last.seq);
-    args.u32(static_cast<std::uint32_t>(span.count));
-    for (std::size_t k = 0; k < span.count; ++k) {
-      args.align_to(8);
-      args.splice(*sent[span.first + k].encoded);
-    }
-  }
-
   ++stats_.peer_batches_out;
-  stats_.peer_batch_events_max =
-      std::max<std::uint64_t>(stats_.peer_batch_events_max, sent.size());
+  stats_.peer_batch_events_max = std::max<std::uint64_t>(
+      stats_.peer_batch_events_max, batch->items.size());
   switch (trigger) {
     case FlushTrigger::count: ++stats_.flushes_by_count; break;
     case FlushTrigger::bytes: ++stats_.flushes_by_bytes; break;
@@ -1069,97 +976,38 @@ void DiscoverServer::flush_outbox(std::uint32_t node, FlushTrigger trigger) {
     case FlushTrigger::drain: break;
   }
 
-  ob.inflight = true;
   // Flush RTT (send -> peer ack) and trace continuity: the batched call
   // runs under the first traced item's context, so the forward_events span
   // lands in the trace that queued the event at this server.
-  util::TraceContext batch_trace;
-  for (const auto& item : sent) {
-    if (item.trace.valid()) {
-      batch_trace = item.trace;
-      break;
-    }
-  }
+  const auto traced = std::find_if(
+      batch->items.begin(), batch->items.end(),
+      [](const OutboxItem& item) { return item.trace.valid(); });
   const bool rtt_sampled = stage_sample() && stage_flush_rtt_ != nullptr;
   const util::TimePoint flushed_at = network_.now();
-  util::Tracer::Scope trace_scope(tracer_, batch_trace);
+  util::Tracer::Scope trace_scope(
+      tracer_, traced != batch->items.end() ? traced->trace
+                                            : util::TraceContext{});
   invoke_peer(
-      node, ob.ref, "forward_events", std::move(args),
-      [this, node, rtt_sampled, flushed_at,
-       sent = std::move(sent)](util::Result<util::Bytes> r) {
+      link.node, batch->ref, "forward_events", std::move(batch->args),
+      [this, node = link.node, alive = link.token(), rtt_sampled, flushed_at,
+       sent = std::move(batch->items)](util::Result<util::Bytes> r) mutable {
         if (rtt_sampled) {
           stage_flush_rtt_->record(network_.now() - flushed_at);
         }
-        const auto oit = outboxes_.find(node);
-        if (oit == outboxes_.end()) return;
-        PeerOutbox& o = oit->second;
-        o.inflight = false;
-        if (!r.ok()) {
-          // Undelivered (timeout / suspect fail-fast).  Requeue push
-          // frames at the front — remote_known_seq makes a double
-          // delivery harmless, and the in-flight gate kept order — but
-          // drop collab relays: re-posting them under a fresh request id
-          // could duplicate a chat (the old forward_collab lost them the
-          // same way).
-          for (auto rit = sent.rbegin(); rit != sent.rend(); ++rit) {
-            if (rit->frame_kind != proto::EventFrameKind::push) {
-              ++stats_.outbox_dropped;
-              continue;
-            }
-            o.bytes += rit->encoded->size() + kOutboxItemOverhead;
-            o.items.push_front(std::move(*rit));
-          }
-          while (config_.peer_outbox_cap > 0 &&
-                 o.items.size() > config_.peer_outbox_cap) {
-            o.bytes -= std::min(
-                o.bytes, o.items.back().encoded->size() + kOutboxItemOverhead);
-            o.items.pop_back();
-            ++stats_.outbox_dropped;
-          }
-          if (!o.items.empty() && o.flush_timer.value() == 0) {
-            ob_arm_retry(node);
-          }
+        PeerLink* l = find_link(node);
+        if (l == nullptr || alive.expired()) return;
+        if (r.ok()) {
+          // Traffic that queued behind the batch leaves now.
+          if (l->landed()) flush_outbox(*l, FlushTrigger::drain);
           return;
         }
-        if (!o.items.empty()) {
-          // Traffic that queued behind the in-flight batch leaves now.
-          flush_outbox(node, FlushTrigger::drain);
+        // Undelivered (timeout / suspect fail-fast): retry what is kept.
+        l->requeue(std::move(sent));
+        if (l->depth() > 0 && l->flush_timer.value() == 0) {
+          schedule_flush(*l, FlushTrigger::drain);
         }
       },
       config_.orb_call_timeout);
-}
-
-void DiscoverServer::ob_arm_retry(std::uint32_t node) {
-  const auto it = outboxes_.find(node);
-  if (it == outboxes_.end()) return;
-  it->second.flush_timer =
-      schedule_self(config_.peer_flush_delay, [this, node] {
-        const auto oit = outboxes_.find(node);
-        if (oit == outboxes_.end()) return;
-        oit->second.flush_timer = net::TimerId{0};
-        flush_outbox(node, FlushTrigger::drain);
-      });
-}
-
-void DiscoverServer::drain_outbox_if_any(std::uint32_t node) {
-  const auto it = outboxes_.find(node);
-  if (it != outboxes_.end() && !it->second.items.empty()) {
-    flush_outbox(node, FlushTrigger::drain);
-  }
-}
-
-void DiscoverServer::flush_all_outboxes() {
-  for (auto& [node, ob] : outboxes_) {
-    if (ob.flush_timer.value() != 0) {
-      network_.cancel(ob.flush_timer);
-      ob.flush_timer = net::TimerId{0};
-    }
-    // Best-effort: inflight batches already carry their items; what is
-    // still queued goes out in one final batch.
-    if (!ob.items.empty() && !ob.inflight) {
-      flush_outbox(node, FlushTrigger::drain);
-    }
-  }
 }
 
 void DiscoverServer::ingest_event_frames(
@@ -1203,8 +1051,8 @@ void DiscoverServer::apply_event_frames(
 }
 
 std::size_t DiscoverServer::outbox_depth(std::uint32_t node) const {
-  const auto it = outboxes_.find(node);
-  return it != outboxes_.end() ? it->second.items.size() : 0;
+  const auto it = links_.find(node);
+  return it != links_.end() ? it->second.depth() : 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -1302,72 +1150,45 @@ void DiscoverServer::gather_app_info(
       [found, done = std::move(done)] { done(*found); });
 }
 
-void DiscoverServer::refresh_peer_directory(Peer& peer) {
-  if (peer.dir_inflight || peer.suspect) return;
-  if (!peer.server_ref.valid()) return;
-  peer.dir_inflight = true;
+void DiscoverServer::refresh_peer_directory(PeerLink& link) {
+  if (link.dir_inflight || !link.listed()) return;
+  link.dir_inflight = true;
   wire::Encoder args;
-  args.u64(peer.dir_epoch);
-  args.u64(peer.dir_version);
-  const std::uint32_t node = peer.node;
+  args.u64(link.dir_epoch);
+  args.u64(link.dir_version);
   invoke_peer(
-      node, peer.server_ref, "list_apps_since", std::move(args),
-      [this, node](util::Result<util::Bytes> r) {
-        Peer* p = peer_by_node(node);
-        if (p == nullptr) return;
-        p->dir_inflight = false;
+      link.node, link.server_ref, "list_apps_since", std::move(args),
+      [this, node = link.node](util::Result<util::Bytes> r) {
+        PeerLink* l = find_link(node);
+        if (l == nullptr) return;
+        l->dir_inflight = false;
         if (!r.ok()) return;
         stats_.dir_refresh_bytes += r.value().size();
+        proto::DirectoryUpdate upd;
         try {
           wire::Decoder d(r.value());
-          apply_directory_update(*p, proto::decode_directory_update(d));
+          upd = proto::decode_directory_update(d);
         } catch (const wire::DecodeError&) {
-          // Keep the stale view on malformed replies.
+          return;  // keep the stale view on malformed replies
+        }
+        ++(upd.full ? stats_.dir_fulls_in : stats_.dir_deltas_in);
+        for (const auto& id : l->apply(upd)) {
+          // Backup departure signal behind the control channel: only touch
+          // remote entries actually hosted at this peer.
+          if (id.host == node && find_remote(id) != nullptr) {
+            remove_remote_app(id, "withdrawn from host directory");
+          }
         }
       },
       config_.orb_call_timeout);
 }
 
-void DiscoverServer::apply_directory_update(
-    Peer& peer, const proto::DirectoryUpdate& upd) {
-  if (upd.full) {
-    ++stats_.dir_fulls_in;
-  } else {
-    ++stats_.dir_deltas_in;
-    // A stale delta (reordered behind a newer reply) must not roll the
-    // view back; full snapshots always apply (epoch recovery).
-    if (upd.epoch == peer.dir_epoch && upd.version < peer.dir_version) return;
-  }
-
-  std::vector<proto::AppId> removed = upd.removed;
-  if (upd.full) {
-    std::set<proto::AppId> now_present;
-    for (const auto& info : upd.apps) now_present.insert(info.id);
-    for (const auto& [id, _] : peer.directory) {
-      if (now_present.count(id) == 0) removed.push_back(id);
-    }
-    peer.directory.clear();
-  }
-  for (const auto& info : upd.apps) peer.directory[info.id] = info;
-  for (const auto& id : removed) {
-    peer.directory.erase(id);
-    // Backup departure signal behind the control channel: only touch
-    // remote entries actually hosted at this peer.
-    if (id.host == peer.node && find_remote(id) != nullptr) {
-      remove_remote_app(id, "withdrawn from host directory");
-    }
-  }
-  peer.dir_epoch = upd.epoch;
-  peer.dir_version = upd.version;
-}
-
 std::vector<proto::AppInfo> DiscoverServer::peer_directory(
     std::uint32_t node) const {
-  std::vector<proto::AppInfo> out;
-  const auto it = peers_.find(node);
-  if (it == peers_.end()) return out;
-  for (const auto& [_, info] : it->second.directory) out.push_back(info);
-  return out;
+  const auto it = links_.find(node);
+  if (it == links_.end()) return {};
+  const auto apps = std::views::values(it->second.directory);
+  return {apps.begin(), apps.end()};
 }
 
 void DiscoverServer::remove_remote_app(const proto::AppId& app,

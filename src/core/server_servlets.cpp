@@ -182,9 +182,9 @@ class DiscoverServer::MasterServlet final : public http::Servlet {
           // Peers are known to every core (§5j).  Suspect peers are
           // skipped — waiting out their timeout would stall every login
           // for nothing.
-          std::vector<Peer*> live_peers;
-          for (auto& [node, peer] : s.peers_) {
-            if (!peer.suspect) live_peers.push_back(&peer);
+          std::vector<const PeerLink*> live_peers;
+          for (const auto& [_, link] : s.links_) {
+            if (link.listed() && !link.suspect) live_peers.push_back(&link);
           }
           if (live_peers.empty()) {
             if (timed) s.stage_login_->record(s.network_.now() - t0);
@@ -198,7 +198,7 @@ class DiscoverServer::MasterServlet final : public http::Servlet {
           auto state = std::make_shared<FanOut>();
           state->reply = std::move(out);
           state->remaining = live_peers.size();
-          for (Peer* peer : live_peers) {
+          for (const PeerLink* peer : live_peers) {
             wire::Encoder args;
             args.str(req.user);
             args.u64(req.password_digest);

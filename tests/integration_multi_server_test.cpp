@@ -4,6 +4,10 @@
 // server-departure handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "app/reservoir.h"
 #include "app/synthetic.h"
 #include "workload/scenario.h"
@@ -209,6 +213,43 @@ TEST_P(MultiServerTest, ServerDownRemovesItsApplications) {
   EXPECT_EQ(reply.value().applications.size(), 1u);
 }
 
+/// The nodes of every DISCOVER offer the trader lists, in offer order.
+std::vector<std::uint32_t> listed_servers(workload::Scenario& scenario) {
+  orb::TraderClient trader(scenario.registry().orb(),
+                           scenario.registry().trader_ref());
+  std::optional<std::vector<std::uint32_t>> nodes;
+  trader.query("DISCOVER", "",
+               [&](util::Result<std::vector<orb::ServiceOffer>> r) {
+                 nodes.emplace();
+                 if (!r.ok()) return;
+                 for (const auto& offer : r.value()) {
+                   nodes->push_back(offer.ref.node);
+                 }
+               });
+  EXPECT_TRUE(scenario.run_until([&] { return nodes.has_value(); }));
+  return nodes.value_or(std::vector<std::uint32_t>{});
+}
+
+TEST_P(MultiServerTest, OneTraderOfferPerServerAndNoneAfterShutdown) {
+  // Each server exports once, so the trader lists each once — and the one
+  // offer a shutdown withdraws is the server's only one.
+  std::vector<std::uint32_t> listed = listed_servers(*scenario_);
+  std::sort(listed.begin(), listed.end());
+  EXPECT_EQ(listed, (std::vector<std::uint32_t>{rutgers_->node().value(),
+                                                 texas_->node().value()}));
+
+  texas_->shutdown();
+  ASSERT_TRUE(scenario_->run_until(
+      [&] { return rutgers_->peer_count() == 0; }, util::seconds(5)));
+  EXPECT_EQ(listed_servers(*scenario_),
+            std::vector<std::uint32_t>{rutgers_->node().value()});
+  // No refresh round finds the departed server again.
+  for (int round = 0; round < 10; ++round) {
+    scenario_->run_for(util::milliseconds(100));
+    ASSERT_EQ(rutgers_->peer_count(), 0u) << "refresh round " << round;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     UpdateModes, MultiServerTest,
     ::testing::Values(core::RemoteUpdateMode::push,
@@ -216,6 +257,50 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<core::RemoteUpdateMode>& info) {
       return info.param == core::RemoteUpdateMode::push ? "push" : "poll";
     });
+
+TEST(ServerDeparture, HostStopsPushingToADepartedSubscriber) {
+  // The subscriber says goodbye and then its process dies.  The host must
+  // forget it whole: no more events encoded or queued for it, and no batch
+  // left to wait out the ORB timeout.
+  workload::ScenarioConfig cfg;
+  cfg.server_template.peer_refresh_period = util::milliseconds(100);
+  workload::Scenario scenario(cfg);
+  auto& near = scenario.add_server("near", 1);
+  auto& host = scenario.add_server("host", 2);
+  app::AppConfig feed_cfg;
+  feed_cfg.name = "feed";
+  feed_cfg.acl = make_acl({{"alice", Privilege::read_only}});
+  feed_cfg.step_time = util::milliseconds(1);
+  feed_cfg.update_every = 10;  // 100 updates/s
+  feed_cfg.interact_every = 0;
+  auto& feed = scenario.add_app<app::SyntheticApp>(host, feed_cfg,
+                                                   app::SyntheticSpec{});
+  app::AppConfig local_cfg = feed_cfg;
+  local_cfg.name = "near-local";
+  local_cfg.update_every = 0;
+  scenario.add_app<app::SyntheticApp>(near, local_cfg, app::SyntheticSpec{});
+  ASSERT_TRUE(scenario.run_until([&] {
+    return feed.registered() && near.peer_count() == 1 &&
+           host.peer_count() == 1;
+  }));
+
+  auto& alice = scenario.add_client("alice", near);
+  ASSERT_TRUE(workload::sync_login(scenario.net(), alice).value().ok);
+  ASSERT_TRUE(
+      workload::sync_select(scenario.net(), alice, feed.app_id()).value().ok);
+  ASSERT_TRUE(scenario.run_until(
+      [&] { return host.stats().peer_events_out > 0; }));
+
+  near.shutdown();
+  scenario.run_for(util::milliseconds(500));  // server_down lands
+  scenario.net().crash_node(near.node());
+  const std::uint64_t pushed = host.stats().peer_events_out;
+  scenario.run_for(util::seconds(30));
+  EXPECT_EQ(host.stats().peer_events_out, pushed);
+  EXPECT_EQ(host.outbox_depth(near.node().value()), 0u);
+  EXPECT_EQ(host.peer_count(), 0u);
+  EXPECT_FALSE(host.peer_suspect(near.node()));
+}
 
 }  // namespace
 }  // namespace discover

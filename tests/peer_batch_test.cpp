@@ -1,7 +1,8 @@
 // Peer outbox & directory deltas (DESIGN.md "Peer outbox & directory
 // deltas"):
-//  * wire compatibility — the outbox fast path that splices pre-encoded
-//    standalone events is byte-identical to proto::encode_event_frames;
+//  * wire compatibility — the batch PeerLink::take_batch() splices from
+//    pre-encoded standalone events is byte-identical to
+//    proto::encode_event_frames;
 //  * hardening — absurd wire counts throw DecodeError instead of
 //    pre-reserving unbounded memory;
 //  * equivalence — a randomized collab round delivers the same per-client
@@ -10,7 +11,7 @@
 //  * A/B — peer_flush_delay=0 emits zero batches and its runs are
 //    byte-identical per seed (the legacy wire path, kept verbatim);
 //  * backpressure — a suspect peer's outbox holds events bounded by
-//    peer_outbox_cap, sheds periodic updates first, and drains on heal;
+//    PeerLink::kOutboxCap, sheds periodic updates first, and drains on heal;
 //  * directory — one full snapshot at first contact, deltas afterwards;
 //    membership and phase changes propagate without new fulls, even when
 //    one app's changes between two refreshes outnumber the change log; an
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "app/synthetic.h"
+#include "core/peer_link.h"
 #include "util/rng.h"
 #include "workload/scenario.h"
 #include "workload/sync_ops.h"
@@ -74,27 +76,26 @@ TEST(PeerBatchWireCompat, SpliceEncodingMatchesStructEncoding) {
   wire::Encoder reference;
   proto::encode_event_frames(reference, frames);
 
-  // The outbox path: each event CDR-encoded standalone exactly once, then
-  // spliced into the batch at an 8-byte boundary (server_remote.cpp,
-  // flush_outbox).
-  wire::Encoder spliced;
-  spliced.u32(static_cast<std::uint32_t>(frames.size()));
+  // The outbox path: each event CDR-encoded standalone exactly once, queued
+  // on a peer link, and spliced into the batch at 8-byte boundaries by
+  // take_batch() — the same call the server's flush makes.
+  core::ServerStats stats;
+  core::PeerLink link(2, stats);
   for (const auto& f : frames) {
-    spliced.u8(static_cast<std::uint8_t>(f.kind));
-    proto::encode(spliced, f.app);
-    spliced.u64(f.seq_first);
-    spliced.u64(f.seq_last);
-    spliced.u32(static_cast<std::uint32_t>(f.events.size()));
     for (const auto& ev : f.events) {
-      wire::Encoder standalone;
-      proto::encode(standalone, ev);
-      spliced.align_to(8);
-      spliced.splice(std::move(standalone).take());
+      const std::uint64_t seq =
+          f.kind == proto::EventFrameKind::push ? ev.seq : 0;
+      (void)link.append({f.kind, f.app, seq, ev.kind,
+                         core::encode_event_standalone(ev), {}},
+                        orb::ObjectRef{});
     }
   }
+  auto batch = link.take_batch();
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_EQ(batch->items.size(), 4u);
 
   const util::Bytes a = std::move(reference).take();
-  const util::Bytes b = std::move(spliced).take();
+  const util::Bytes b = std::move(batch->args).take();
   ASSERT_EQ(a, b);
 
   wire::Decoder d(a);
@@ -319,10 +320,12 @@ TEST(PeerBatchBackpressure, SuspectPeerOutboxShedsUpdatesAndDrainsOnHeal) {
   core::ServerConfig host_cfg = cfg.server_template;
   host_cfg.orb_call_timeout = util::milliseconds(200);
   host_cfg.peer_suspect_threshold = 1;
-  host_cfg.peer_outbox_cap = 4;
   auto& host = scenario.add_server("host", 2, host_cfg);
   app::AppConfig chatty = watched_app("shared");
-  chatty.update_every = 10;  // an update every 50 ms: pressure on the outbox
+  // An update every 1 ms step: about a second of partition fills the
+  // outbox past PeerLink::kOutboxCap.
+  chatty.step_time = util::milliseconds(1);
+  chatty.update_every = 1;
   auto& app = scenario.add_app<app::SyntheticApp>(host, chatty,
                                                   app::SyntheticSpec{});
   scenario.add_app<app::SyntheticApp>(near, watched_app("identity"),
@@ -348,7 +351,7 @@ TEST(PeerBatchBackpressure, SuspectPeerOutboxShedsUpdatesAndDrainsOnHeal) {
       [&] { return host.peer_suspect(near.node()); }, util::seconds(30)));
   ASSERT_TRUE(scenario.run_until(
       [&] { return host.stats().outbox_dropped > 0; }, util::seconds(30)));
-  EXPECT_LE(host.outbox_depth(near.node().value()), host_cfg.peer_outbox_cap);
+  EXPECT_LE(host.outbox_depth(near.node().value()), core::PeerLink::kOutboxCap);
 
   // Heal: the probe clears suspicion and the held tail drains; the stream
   // at the watcher resumes with fresh iterations.
@@ -485,24 +488,23 @@ TEST(PeerDirectory, PhaseChurnBetweenRefreshesStaysADelta) {
 // ---------------------------------------------------------------------------
 
 TEST(PeerBatchStats, CountAndBytesTriggersFire) {
-  // Tiny thresholds so a firehose app trips both triggers quickly.
+  // Firehose apps (an update every 1 ms step) and a Nagle delay longer than
+  // they take to trip PeerLink's triggers: near's small updates fill a
+  // 64-item batch in 64 ms, the host's wide ones (64 sensors, ~1.5 KiB
+  // each) reach 48 KiB in about 32.
   workload::ScenarioConfig cfg;
   cfg.server_template.peer_refresh_period = util::milliseconds(100);
-  cfg.server_template.peer_flush_delay = util::milliseconds(50);
-  cfg.server_template.peer_batch_max_events = 3;
+  cfg.server_template.peer_flush_delay = util::milliseconds(100);
   workload::Scenario scenario(cfg);
   auto& near = scenario.add_server("near", 1);
-
-  core::ServerConfig bytes_cfg = cfg.server_template;
-  bytes_cfg.peer_batch_max_events = 1000;
-  bytes_cfg.peer_batch_max_bytes = 256;
-  auto& host = scenario.add_server("host", 2, bytes_cfg);
+  auto& host = scenario.add_server("host", 2);
 
   app::AppConfig firehose = watched_app("shared");
-  firehose.step_time = util::milliseconds(2);
-  firehose.update_every = 1;  // an update every 2 ms
-  auto& app = scenario.add_app<app::SyntheticApp>(host, firehose,
-                                                  app::SyntheticSpec{});
+  firehose.step_time = util::milliseconds(1);
+  firehose.update_every = 1;
+  app::SyntheticSpec wide;
+  wide.metric_count = 64;
+  auto& app = scenario.add_app<app::SyntheticApp>(host, firehose, wide);
   app::AppConfig firehose2 = firehose;
   firehose2.name = "reverse";
   auto& app2 = scenario.add_app<app::SyntheticApp>(near, firehose2,
@@ -513,7 +515,7 @@ TEST(PeerBatchStats, CountAndBytesTriggersFire) {
   }));
 
   // Watch both directions so each server has an outbox under pressure:
-  // host flushes on bytes (256-byte budget), near flushes on count (3).
+  // host flushes on bytes, near flushes on count.
   auto& alice = scenario.add_client("u0", near);
   ASSERT_TRUE(workload::sync_login(scenario.net(), alice).value().ok);
   ASSERT_TRUE(
